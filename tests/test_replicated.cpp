@@ -2,14 +2,17 @@
 // RetryPolicy (determinism, deadline, zero-retry degradation).
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
+#include "obs/observer.hpp"
 #include "storage/backend.hpp"
 #include "storage/image.hpp"
 #include "storage/replicated.hpp"
 #include "storage/retry.hpp"
 #include "util/crc64.hpp"
+#include "util/serialize.hpp"
 #include "util/threadpool.hpp"
 
 namespace ckpt::storage {
@@ -464,6 +467,161 @@ TEST(PipelineDeterminism, DuplicateReplicaSlotsFallBackToTheSequentialLoop) {
   EXPECT_TRUE(receipt.ok());
   EXPECT_EQ(receipt.committed_replicas, 2u);
   EXPECT_TRUE(store.load(receipt.id, nullptr).has_value());
+}
+
+/// `image` in the streamed layout: prelude, one chunk per segment (VMA
+/// header, page count, pages), trailer — the serialize() body, chunked.
+ReplicatedStore::StreamSource stream_source_of(const CheckpointImage& image) {
+  ReplicatedStore::StreamSource source;
+  util::Serializer prelude;
+  encode_image_prelude(prelude, image);
+  source.prelude = std::move(prelude).take();
+  util::Serializer trailer;
+  encode_image_trailer(trailer, image);
+  source.trailer = std::move(trailer).take();
+  source.chunk_count = image.segments.size();
+  source.produce = [&image](std::size_t i) {
+    const MemorySegmentImage& seg = image.segments[i];
+    util::Serializer s;
+    encode_image_vma(s, seg.vma);
+    s.put(static_cast<std::uint64_t>(seg.pages.size()));
+    for (const PageImage& page : seg.pages) {
+      s.put(page.page);
+      s.put(page.offset);
+      s.put_bytes(page.data);
+    }
+    ReplicatedStore::StreamChunk chunk;
+    chunk.capture_ns = 100 * (i + 1);
+    chunk.bytes = std::move(s).take();
+    return chunk;
+  };
+  return source;
+}
+
+/// Drive one scripted sequence through the storage core — every commit
+/// mode, every per-replica failure kind, quorum rollback, dedup catch-up,
+/// gc, scrub and retarget — and fold everything observable into one CRC64:
+/// every replica's blobs, the charge sequence, the Chrome trace and the
+/// metrics snapshot.
+std::uint64_t storage_core_digest(util::ThreadPool& pool) {
+  sim::CostModel costs;
+  LocalDiskBackend local{costs};
+  RemoteBackend remote_a{costs};
+  RemoteBackend remote_b{costs};
+  RemoteBackend spare_flat{costs};
+  RemoteBackend dedup_a{costs};
+  RemoteBackend dedup_b{costs};
+  RemoteBackend dedup_c{costs};
+  RemoteBackend spare_dedup{costs};
+
+  obs::Observer observer;
+  SimTime clock = 0;
+  observer.set_clock([&clock] { return clock; });
+  std::vector<SimTime> charges;
+  const ChargeFn charge = [&](SimTime t) {
+    clock += t;
+    charges.push_back(t);
+  };
+
+  ReplicatedOptions options;
+  options.write_quorum = 2;
+  options.retry = RetryPolicy::bounded(3, 50 * kMillisecond);
+  options.retry.jitter_seed = 0x601D;
+  options.pool = &pool;
+  options.observer = &observer;
+  ReplicatedStore flat({&local, &remote_a, &remote_b}, options);
+
+  // Flat: a clean store, then one replica rejecting, one tearing and one
+  // out — the first two heal under retry, the third misses the commit.
+  EXPECT_TRUE(flat.store_verbose(make_wide_image(1, 4), charge).ok());
+  local.inject_store_fault(StoreFault::kReject);
+  remote_a.inject_store_fault(StoreFault::kTornWrite);
+  remote_b.set_outage(true);
+  const StoreReceipt healed = flat.store_verbose(make_wide_image(2, 4), charge);
+  EXPECT_TRUE(healed.ok());
+  EXPECT_EQ(healed.committed_replicas, 2u);
+  // Two replicas out: the lone verified stage misses quorum and rolls back.
+  remote_a.set_outage(true);
+  EXPECT_FALSE(flat.store_verbose(make_wide_image(3, 4), charge).ok());
+  remote_a.set_outage(false);
+  remote_b.set_outage(false);
+
+  // Streamed: a torn append mid-stream on one replica falls back to the
+  // whole-blob stage; the commit still lands everywhere.
+  remote_a.inject_store_fault(StoreFault::kTornWrite, /*skip_ops=*/2);
+  const CheckpointImage streamed_image = make_wide_image(4, 5);
+  const StoreReceipt streamed = flat.store_streamed(stream_source_of(streamed_image), charge);
+  EXPECT_TRUE(streamed.ok());
+  EXPECT_EQ(streamed.committed_replicas, 3u);
+  EXPECT_TRUE(flat.load(streamed.id, charge).has_value());
+
+  local.corrupt_blob(local.newest_id(), 7, 32);
+  flat.scrub(charge);
+  flat.retarget_replica(2, &spare_flat);
+  flat.scrub(charge);
+  flat.gc(charge);
+
+  // Dedup: a replica sits out one store and catches up on the next.
+  options.dedup = true;
+  ReplicatedStore dedup({&dedup_a, &dedup_b, &dedup_c}, options);
+  CheckpointImage image = make_wide_image(5, 6);
+  const StoreReceipt first = dedup.store_verbose(image, charge);
+  EXPECT_TRUE(first.ok());
+  image.segments[0].pages[0].data.assign(sim::kPageSize, std::byte{0xA5});
+  dedup_c.set_outage(true);
+  EXPECT_EQ(dedup.store_verbose(image, charge).committed_replicas, 2u);
+  dedup_c.set_outage(false);
+  image.segments[2].pages[1].data.assign(sim::kPageSize, std::byte{0x5A});
+  const StoreReceipt caught_up = dedup.store_verbose(image, charge);
+  EXPECT_EQ(caught_up.committed_replicas, 3u);
+  EXPECT_TRUE(dedup.load(caught_up.id, charge).has_value());
+  dedup.erase(first.id);
+  dedup.gc(charge);
+  dedup_a.corrupt_blob(dedup_a.list().front(), 3, 16);
+  dedup.scrub(charge);
+  dedup.retarget_replica(1, &spare_dedup);
+  dedup.scrub(charge);
+
+  // The script reaches every path it means to pin.
+  const obs::MetricsRegistry& m = observer.metrics();
+  EXPECT_EQ(m.counter("store.commit_failed"), 1u);
+  EXPECT_EQ(m.counter("store.stream_fallbacks"), 1u);
+  EXPECT_GT(m.counter("store.stage_retries"), 0u);
+  EXPECT_GT(m.counter("store.replica_outages"), 0u);
+  EXPECT_GT(m.counter("scrub.repaired"), 0u);
+  EXPECT_GT(m.counter("dedup.chunks_reused"), 0u);
+  EXPECT_GT(dedup.dedup_stats().gc_chunks_freed, 0u);
+
+  std::uint64_t digest = 0;
+  for (BlobStoreBackend* backend : std::vector<BlobStoreBackend*>{
+           &local, &remote_a, &remote_b, &spare_flat, &dedup_a, &dedup_b, &dedup_c,
+           &spare_dedup}) {
+    for (const ImageId id : backend->list()) {
+      digest = util::crc64(&id, sizeof(id), digest);
+      digest = util::crc64(backend->read_blob(id, nullptr).value(), digest);
+    }
+  }
+  digest = util::crc64(charges.data(), charges.size() * sizeof(SimTime), digest);
+  const std::string trace = observer.trace().export_chrome_json();
+  digest = util::crc64(trace.data(), trace.size(), digest);
+  const std::string metrics = observer.metrics().snapshot_json();
+  return util::crc64(metrics.data(), metrics.size(), digest);
+}
+
+std::string hex(std::uint64_t value) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(value));
+  return buf;
+}
+
+TEST(StorageCoreGolden, ScriptedSequenceDigestIsPinnedAcrossCommits) {
+  // The literal pins the storage core's observable output — replica bytes,
+  // sim-time charges, trace and metrics — across refactors, not just across
+  // worker counts within one build.
+  constexpr const char* kGolden = "648747193b4bbfa5";
+  util::ThreadPool one(1), eight(8);
+  EXPECT_EQ(hex(storage_core_digest(one)), kGolden);
+  EXPECT_EQ(hex(storage_core_digest(eight)), kGolden);
 }
 
 }  // namespace
