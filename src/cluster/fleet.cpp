@@ -258,7 +258,6 @@ FleetManager::FleetManager(FleetOptions options)
     shard.storage_home = s;  // lowest-id slot of shard s lives on node s
     storage::ReplicatedOptions ropts;
     ropts.write_quorum = 1;
-    ropts.verify_writes = true;
     ropts.retry = options_.store_retry;
     ropts.pool = pool_;
     ropts.dedup = options_.dedup;

@@ -358,7 +358,7 @@ std::vector<ChunkTable::FreedChunk> ChunkTable::collect_garbage() {
   return freed;
 }
 
-std::vector<std::byte> ChunkTable::blob_copy(const ChunkKey& key) const {
+const std::vector<std::byte>& ChunkTable::blob(const ChunkKey& key) const {
   return chunks_.at(key).blob;
 }
 

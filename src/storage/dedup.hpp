@@ -189,7 +189,7 @@ class ChunkTable {
 
   /// Canonical encoded blob of a live chunk (for staging on a replica that
   /// lacks it, and for scrub repair verification).  Throws on unknown key.
-  [[nodiscard]] std::vector<std::byte> blob_copy(const ChunkKey& key) const;
+  [[nodiscard]] const std::vector<std::byte>& blob(const ChunkKey& key) const;
   [[nodiscard]] std::uint64_t blob_crc(const ChunkKey& key) const;
   [[nodiscard]] std::uint64_t blob_bytes(const ChunkKey& key) const;
   [[nodiscard]] bool contains(const ChunkKey& key) const;

@@ -51,9 +51,7 @@ ReplicatedStore::ReplicatedStore(std::vector<BlobStoreBackend*> replicas,
   const std::unordered_set<const BlobStoreBackend*> distinct(replicas_.begin(),
                                                              replicas_.end());
   distinct_replicas_ = distinct.size() == replicas_.size();
-  if (!options_.serial_commit) {
-    pool_ = options_.pool != nullptr ? options_.pool : &util::ThreadPool::shared();
-  }
+  pool_ = options_.pool != nullptr ? options_.pool : &util::ThreadPool::shared();
   if (options_.dedup) {
     // The table is pure host-side identity bookkeeping shared by all
     // replicas; metrics go through options_.observer from this layer, so
@@ -64,194 +62,105 @@ ReplicatedStore::ReplicatedStore(std::vector<BlobStoreBackend*> replicas,
   }
 }
 
-ImageId ReplicatedStore::stage_on_replica(std::size_t r, const std::vector<std::byte>& blob,
-                                          std::uint64_t crc, const ChargeFn& charge,
-                                          std::uint64_t salt, std::uint64_t& retries,
-                                          StoreErrorKind& error, StageTraceLog* log) {
-  BlobStoreBackend& replica = *replicas_[r];
-  Retrier retrier(options_.retry, salt ^ (r + 1));
-  while (true) {
-    StoreErrorKind attempt_error;
-    if (!replica.reachable()) {
-      attempt_error = StoreErrorKind::kUnreachable;
-    } else {
-      const ImageId id = replica.put_raw(blob, charge);
-      if (id == kBadImageId) {
-        // put_raw fails for exactly two reasons on a reachable replica: an
-        // armed rejection fault, or an outage that began mid-call.
-        attempt_error = replica.reachable() ? StoreErrorKind::kRejected
-                                            : StoreErrorKind::kUnreachable;
-      } else if (!options_.verify_writes) {
-        return id;
-      } else {
-        // Read-back verify in place: the simulated media is read in full
-        // (same charge as read_blob) but no host-side copy is made.
-        const auto staged_crc = replica.blob_crc64(id, charge);
-        if (staged_crc == crc) return id;
-        // Torn or vanished: roll the stage back so nothing half-written
-        // survives under a live id.
-        replica.erase(id);
-        attempt_error = staged_crc.has_value() ? StoreErrorKind::kTornWrite
-                                               : StoreErrorKind::kMissing;
-      }
-    }
-    error = attempt_error;
-    if (log != nullptr) log->retry_marks.emplace_back(log->spent, attempt_error);
-    const std::optional<SimTime> delay = retrier.next_delay();
-    if (!delay.has_value()) return kBadImageId;
-    if (charge) charge(*delay);
-    ++retries;
-  }
-}
-
-ReplicatedStore::DedupStage ReplicatedStore::stage_dedup_on_replica(
-    std::size_t r, const ChunkTable::EncodedImage& enc,
+ReplicatedStore::ReplicaStage ReplicatedStore::stage_replica(
+    std::size_t r, const std::vector<std::byte>& manifest, std::uint64_t manifest_crc,
     const std::vector<ChunkKey>& missing, const ChargeFn& charge, std::uint64_t salt,
     std::uint64_t& retries, StoreErrorKind& error, StageTraceLog* log) {
-  DedupStage stage;
+  BlobStoreBackend& replica = *replicas_[r];
+  // Stage + read-back verify one blob, retrying per policy.
+  const auto stage_blob = [&](const std::vector<std::byte>& blob, std::uint64_t crc) {
+    Retrier retrier(options_.retry, salt ^ (r + 1));
+    while (true) {
+      StoreErrorKind attempt_error;
+      if (!replica.reachable()) {
+        attempt_error = StoreErrorKind::kUnreachable;
+      } else {
+        const ImageId id = replica.put_raw(blob, charge);
+        if (id == kBadImageId) {
+          // put_raw fails for exactly two reasons on a reachable replica: an
+          // armed rejection fault, or an outage that began mid-call.
+          attempt_error = replica.reachable() ? StoreErrorKind::kRejected
+                                              : StoreErrorKind::kUnreachable;
+        } else {
+          // Read-back verify in place: the simulated media is read in full
+          // (same charge as read_blob) but no host-side copy is made.
+          const auto staged_crc = replica.blob_crc64(id, charge);
+          if (staged_crc == crc) return id;
+          // Torn or vanished: roll the stage back so nothing half-written
+          // survives under a live id.
+          replica.erase(id);
+          attempt_error = staged_crc.has_value() ? StoreErrorKind::kTornWrite
+                                                 : StoreErrorKind::kMissing;
+        }
+      }
+      error = attempt_error;
+      if (log != nullptr) log->retry_marks.emplace_back(log->spent, attempt_error);
+      const std::optional<SimTime> delay = retrier.next_delay();
+      if (!delay.has_value()) return kBadImageId;
+      if (charge) charge(*delay);
+      ++retries;
+    }
+  };
+
   // Chunks first (closure order), manifest last — a reader can only see the
   // manifest once every chunk it references is durable on this replica.
+  ReplicaStage stage;
   for (const ChunkKey& key : missing) {
-    const ImageId id = stage_on_replica(r, table_->blob_copy(key), table_->blob_crc(key),
-                                        charge, salt, retries, error, log);
-    if (id == kBadImageId) {
-      for (auto it = stage.chunks.rbegin(); it != stage.chunks.rend(); ++it) {
-        replicas_[r]->erase(it->second);
-      }
-      stage.chunks.clear();
-      return stage;
-    }
+    const ImageId id = stage_blob(table_->blob(key), table_->blob_crc(key));
+    if (id == kBadImageId) break;
     stage.chunks.emplace_back(key, id);
   }
-  stage.manifest_id = stage_on_replica(r, enc.manifest, enc.manifest_crc, charge, salt,
-                                       retries, error, log);
+  if (stage.chunks.size() == missing.size()) {
+    stage.manifest_id = stage_blob(manifest, manifest_crc);
+  }
   if (stage.manifest_id == kBadImageId) {
     for (auto it = stage.chunks.rbegin(); it != stage.chunks.rend(); ++it) {
-      replicas_[r]->erase(it->second);
+      replica.erase(it->second);
     }
     stage.chunks.clear();
   }
   return stage;
 }
 
-StoreReceipt ReplicatedStore::store_verbose_dedup(const CheckpointImage& image,
-                                                  const ChargeFn& charge) {
-  StoreReceipt receipt;
+void ReplicatedStore::emit_stage(std::size_t r, SimTime base, const StageTraceLog& log,
+                                 const ReplicaStage& stage) {
   obs::Observer* observer = options_.observer;
-  obs::TraceRecorder* trace = obs::tracer(observer);
-
-  if (trace != nullptr) {
-    trace->begin("serialize", "storage", obs::kStorageTrack,
-                 {obs::TraceArg::num("replicas", replicas_.size())});
+  if (observer == nullptr) return;
+  obs::TraceRecorder& trace = observer->trace();
+  std::vector<obs::TraceArg> begin_args{obs::TraceArg::num("replica", r)};
+  if (table_ != nullptr) begin_args.push_back(obs::TraceArg::num("chunks", stage.chunks.size()));
+  trace.begin_at(base, "replica-stage", "storage", obs::kStorageTrack, std::move(begin_args));
+  std::uint64_t outages = 0;
+  for (const auto& [offset, kind] : log.retry_marks) {
+    if (kind == StoreErrorKind::kUnreachable) ++outages;
+    trace.instant_at(base + offset, "stage-retry", "storage", obs::kStorageTrack,
+                     {obs::TraceArg::num("replica", r),
+                      obs::TraceArg::str("error", to_string(kind))});
   }
-  ChunkTable::EncodedImage enc = table_->encode(image);
-  if (trace != nullptr) {
-    trace->end("serialize", obs::kStorageTrack,
-               {obs::TraceArg::num("bytes", enc.stored_bytes),
-                obs::TraceArg::num("logical_bytes", enc.logical_bytes),
-                obs::TraceArg::num("fresh_chunks", enc.fresh.size()),
-                obs::TraceArg::num("reused_refs", enc.reused_refs)});
+  const bool verified = stage.manifest_id != kBadImageId;
+  std::vector<obs::TraceArg> end_args{
+      obs::TraceArg::num("replica", r),
+      obs::TraceArg::str("outcome", verified ? "verified" : "failed"),
+      obs::TraceArg::num("retries", log.retry_marks.size())};
+  if (!verified && !log.retry_marks.empty()) {
+    end_args.push_back(obs::TraceArg::str("error", to_string(log.retry_marks.back().second)));
   }
-  const std::uint64_t salt = ++op_counter_;
+  trace.end_at(base + log.spent, "replica-stage", obs::kStorageTrack, std::move(end_args));
+  if (outages > 0) observer->metrics().add("store.replica_outages", outages);
+}
 
-  // Per-replica diff against the placement map, computed up front so the
-  // parallel fan-out only ever reads shared state.  Fresh chunks are missing
-  // everywhere by definition; reused chunks are missing only on replicas
-  // that sat out the store that created them.
-  std::vector<std::vector<ChunkKey>> missing(replicas_.size());
-  for (std::size_t r = 0; r < replicas_.size(); ++r) {
-    for (const ChunkKey& key : enc.refs) {
-      const auto it = chunk_placements_.find(key);
-      if (it == chunk_placements_.end() || !it->second.contains(r)) {
-        missing[r].push_back(key);
-      }
-    }
-  }
-
-  const auto emit_stage = [&](std::size_t r, SimTime base, const StageTraceLog& log,
-                              ImageId id, std::uint64_t staged_chunks) {
-    if (trace == nullptr) return;
-    trace->begin_at(base, "replica-stage", "storage", obs::kStorageTrack,
-                    {obs::TraceArg::num("replica", r),
-                     obs::TraceArg::num("chunks", staged_chunks)});
-    std::uint64_t outages = 0;
-    for (const auto& [offset, kind] : log.retry_marks) {
-      if (kind == StoreErrorKind::kUnreachable) ++outages;
-      trace->instant_at(base + offset, "stage-retry", "storage", obs::kStorageTrack,
-                        {obs::TraceArg::num("replica", r),
-                         obs::TraceArg::str("error", to_string(kind))});
-    }
-    std::vector<obs::TraceArg> end_args{
-        obs::TraceArg::num("replica", r),
-        obs::TraceArg::str("outcome", id != kBadImageId ? "verified" : "failed"),
-        obs::TraceArg::num("retries", log.retry_marks.size())};
-    if (id == kBadImageId && !log.retry_marks.empty()) {
-      end_args.push_back(
-          obs::TraceArg::str("error", to_string(log.retry_marks.back().second)));
-    }
-    trace->end_at(base + log.spent, "replica-stage", obs::kStorageTrack,
-                  std::move(end_args));
-    if (outages > 0) observer->metrics().add("store.replica_outages", outages);
-  };
-
-  // Phase 1: stage the per-replica diff + manifest on every replica.  Same
-  // ledger-replay contract as the flat path: with a pool, each replica's
-  // sim-time charges are recorded by the worker and replayed through the
-  // caller's ChargeFn in replica order.
-  std::vector<DedupStage> stages(replicas_.size());
-  if (pool_ != nullptr && distinct_replicas_ && replicas_.size() >= 2 &&
-      pool_->worker_count() >= 2) {
-    struct StageOutcome {
-      std::uint64_t retries = 0;
-      StoreErrorKind error = StoreErrorKind::kNone;
-      std::vector<SimTime> charges;
-      StageTraceLog log;
-    };
-    std::vector<StageOutcome> outcomes(replicas_.size());
-    pool_->run(replicas_.size(), [&](std::size_t r) {
-      StageOutcome& out = outcomes[r];
-      const ChargeFn ledger = [&out](SimTime t) {
-        out.log.spent += t;
-        out.charges.push_back(t);
-      };
-      stages[r] = stage_dedup_on_replica(r, enc, missing[r], ledger, salt, out.retries,
-                                         out.error, &out.log);
-    });
-    for (std::size_t r = 0; r < outcomes.size(); ++r) {
-      StageOutcome& out = outcomes[r];
-      const SimTime base = trace != nullptr ? trace->now() : 0;
-      if (charge) {
-        for (SimTime t : out.charges) charge(t);
-      }
-      receipt.retries += out.retries;
-      if (out.error != StoreErrorKind::kNone) receipt.last_error = out.error;
-      emit_stage(r, base, out.log, stages[r].manifest_id, stages[r].chunks.size());
-    }
-  } else {
-    for (std::size_t r = 0; r < replicas_.size(); ++r) {
-      StageTraceLog log;
-      const SimTime base = trace != nullptr ? trace->now() : 0;
-      ChargeFn wrapped = charge;
-      if (trace != nullptr) {
-        wrapped = [&log, &charge](SimTime t) {
-          log.spent += t;
-          if (charge) charge(t);
-        };
-      }
-      stages[r] = stage_dedup_on_replica(r, enc, missing[r], wrapped, salt,
-                                         receipt.retries, receipt.last_error,
-                                         trace != nullptr ? &log : nullptr);
-      emit_stage(r, base, log, stages[r].manifest_id, stages[r].chunks.size());
-    }
-  }
-
+StoreReceipt ReplicatedStore::publish(StoreReceipt receipt, std::vector<ReplicaStage>& stages,
+                                      const Publish& what) {
+  obs::Observer* observer = options_.observer;
+  const bool streamed = what.stream_chunks.has_value();
   std::map<std::size_t, ImageId> placements;
   for (std::size_t r = 0; r < stages.size(); ++r) {
     if (stages[r].manifest_id != kBadImageId) placements.emplace(r, stages[r].manifest_id);
   }
 
-  // Phase 2: publish iff the write quorum verified; otherwise roll every
-  // replica's newly staged blobs back and forget the encode.
+  // Short of the write quorum: roll every replica's staged blobs back
+  // (manifest, then its chunks newest-first) so a failed store leaves no
+  // trace, and forget the encode.
   if (placements.size() < options_.write_quorum) {
     for (std::size_t r = 0; r < stages.size(); ++r) {
       if (stages[r].manifest_id == kBadImageId) continue;
@@ -260,43 +169,66 @@ StoreReceipt ReplicatedStore::store_verbose_dedup(const CheckpointImage& image,
         replicas_[r]->erase(it->second);
       }
     }
-    table_->abort(enc);
+    if (what.enc != nullptr) table_->abort(*what.enc);
     if (receipt.last_error == StoreErrorKind::kNone) {
       receipt.last_error = StoreErrorKind::kNoQuorum;
     }
     if (observer != nullptr) {
-      observer->trace().instant(
-          "commit-failed", "storage", obs::kStorageTrack,
-          {obs::TraceArg::str("error", to_string(receipt.last_error)),
-           obs::TraceArg::num("staged", placements.size()),
-           obs::TraceArg::num("quorum", options_.write_quorum)});
+      if (streamed) {
+        observer->trace().end("stream", obs::kStorageTrack,
+                              {obs::TraceArg::str("outcome", "failed"),
+                               obs::TraceArg::str("error", to_string(receipt.last_error))});
+      } else {
+        observer->trace().instant(
+            "commit-failed", "storage", obs::kStorageTrack,
+            {obs::TraceArg::str("error", to_string(receipt.last_error)),
+             obs::TraceArg::num("staged", placements.size()),
+             obs::TraceArg::num("quorum", options_.write_quorum)});
+      }
       observer->metrics().add("store.commit_failed");
       observer->metrics().add("store.stage_retries", receipt.retries);
     }
     return receipt;
   }
 
+  // The commit point: the manifest entry.  A replica whose manifest did not
+  // verify keeps no placement; scrub re-replicates it.
   receipt.id = next_id_++;
   receipt.committed_replicas = static_cast<std::uint32_t>(placements.size());
-  for (std::size_t r = 0; r < stages.size(); ++r) {
-    if (stages[r].manifest_id == kBadImageId) continue;  // scrub re-replicates
-    for (const auto& [key, physical] : stages[r].chunks) {
-      chunk_placements_[key].emplace(r, physical);
+  std::vector<ChunkKey> closure;
+  if (what.enc != nullptr) {
+    for (std::size_t r = 0; r < stages.size(); ++r) {
+      if (stages[r].manifest_id == kBadImageId) continue;
+      for (const auto& [key, physical] : stages[r].chunks) {
+        chunk_placements_[key].emplace(r, physical);
+      }
     }
+    table_->commit(*what.enc);
+    closure = what.enc->refs;
   }
-  table_->commit(enc);
-  manifest_.emplace(receipt.id, Entry{enc.manifest_crc, enc.manifest.size(),
-                                      std::move(placements), enc.refs});
-  if (observer != nullptr) {
-    observer->trace().instant(
-        "commit", "storage", obs::kStorageTrack,
-        {obs::TraceArg::num("id", receipt.id),
-         obs::TraceArg::num("replicas", receipt.committed_replicas),
-         obs::TraceArg::num("bytes", enc.stored_bytes)});
-    obs::MetricsRegistry& metrics = observer->metrics();
-    metrics.add("store.committed");
-    metrics.add("store.stage_retries", receipt.retries);
-    metrics.add("store.bytes_committed", enc.stored_bytes);
+  manifest_.emplace(receipt.id,
+                    Entry{what.crc, what.bytes, std::move(placements), std::move(closure)});
+  if (observer == nullptr) return receipt;
+  if (streamed) {
+    observer->trace().end("stream", obs::kStorageTrack,
+                          {obs::TraceArg::num("id", receipt.id),
+                           obs::TraceArg::num("bytes", what.bytes),
+                           obs::TraceArg::num("chunks", *what.stream_chunks)});
+  }
+  observer->trace().instant("commit", "storage", obs::kStorageTrack,
+                            {obs::TraceArg::num("id", receipt.id),
+                             obs::TraceArg::num("replicas", receipt.committed_replicas),
+                             obs::TraceArg::num("bytes", what.committed_bytes)});
+  obs::MetricsRegistry& metrics = observer->metrics();
+  metrics.add("store.committed");
+  if (streamed) {
+    metrics.add("store.streamed");
+    metrics.add("store.stream_chunks", *what.stream_chunks);
+  }
+  metrics.add("store.stage_retries", receipt.retries);
+  metrics.add("store.bytes_committed", what.committed_bytes);
+  if (what.enc != nullptr) {
+    const ChunkTable::EncodedImage& enc = *what.enc;
     metrics.add("dedup.images");
     metrics.add("dedup.chunks_new", enc.fresh.size());
     metrics.add("dedup.chunks_reused", enc.reused_refs);
@@ -314,145 +246,96 @@ StoreReceipt ReplicatedStore::store_verbose_dedup(const CheckpointImage& image,
 
 StoreReceipt ReplicatedStore::store_verbose(const CheckpointImage& image,
                                             const ChargeFn& charge) {
-  if (table_ != nullptr) return store_verbose_dedup(image, charge);
   StoreReceipt receipt;
-  obs::Observer* observer = options_.observer;
-  obs::TraceRecorder* trace = obs::tracer(observer);
+  obs::TraceRecorder* trace = obs::tracer(options_.observer);
 
+  // Encode.  A flat commit is a placement with no chunks: its "manifest" is
+  // the serialized image.  A dedup commit's manifest references content
+  // chunks, each staged only on the replicas still missing it.
   if (trace != nullptr) {
     trace->begin("serialize", "storage", obs::kStorageTrack,
                  {obs::TraceArg::num("replicas", replicas_.size())});
   }
-  const std::vector<std::byte> blob =
-      pool_ != nullptr ? image.serialize(*pool_) : image.serialize();
-  const std::uint64_t crc = util::crc64(blob);
+  std::optional<ChunkTable::EncodedImage> enc;
+  std::vector<std::byte> blob;
+  if (table_ != nullptr) {
+    enc = table_->encode(image);
+  } else {
+    blob = image.serialize(*pool_);
+  }
+  const std::vector<std::byte>& manifest = enc.has_value() ? enc->manifest : blob;
+  const std::uint64_t crc = enc.has_value() ? enc->manifest_crc : util::crc64(blob);
   if (trace != nullptr) {
-    trace->end("serialize", obs::kStorageTrack, {obs::TraceArg::num("bytes", blob.size())});
+    if (enc.has_value()) {
+      trace->end("serialize", obs::kStorageTrack,
+                 {obs::TraceArg::num("bytes", enc->stored_bytes),
+                  obs::TraceArg::num("logical_bytes", enc->logical_bytes),
+                  obs::TraceArg::num("fresh_chunks", enc->fresh.size()),
+                  obs::TraceArg::num("reused_refs", enc->reused_refs)});
+    } else {
+      trace->end("serialize", obs::kStorageTrack, {obs::TraceArg::num("bytes", blob.size())});
+    }
   }
   const std::uint64_t salt = ++op_counter_;
 
-  // One replica-stage span per replica, rendered from the stage's trace
-  // ledger with explicit timestamps (base + charge offset).  Both commit
-  // paths call this only after the replica's charges have been (re)played
-  // through the caller's ChargeFn, so events, timestamps and seq order are
-  // byte-identical whether staging ran serially or on the pool.
-  const auto emit_stage = [&](std::size_t r, SimTime base, const StageTraceLog& log,
-                              ImageId id) {
-    if (trace == nullptr) return;
-    trace->begin_at(base, "replica-stage", "storage", obs::kStorageTrack,
-                    {obs::TraceArg::num("replica", r)});
-    std::uint64_t outages = 0;
-    for (const auto& [offset, kind] : log.retry_marks) {
-      if (kind == StoreErrorKind::kUnreachable) ++outages;
-      trace->instant_at(base + offset, "stage-retry", "storage", obs::kStorageTrack,
-                        {obs::TraceArg::num("replica", r),
-                         obs::TraceArg::str("error", to_string(kind))});
-    }
-    std::vector<obs::TraceArg> end_args{
-        obs::TraceArg::num("replica", r),
-        obs::TraceArg::str("outcome", id != kBadImageId ? "verified" : "failed"),
-        obs::TraceArg::num("retries", log.retry_marks.size())};
-    if (id == kBadImageId && !log.retry_marks.empty()) {
-      end_args.push_back(
-          obs::TraceArg::str("error", to_string(log.retry_marks.back().second)));
-    }
-    trace->end_at(base + log.spent, "replica-stage", obs::kStorageTrack,
-                  std::move(end_args));
-    if (outages > 0) observer->metrics().add("store.replica_outages", outages);
-  };
-
-  // Phase 1: stage + verify on every replica.  With a pool the fan-out runs
-  // one task per replica; each task ledgers its sim-time charges, and the
-  // join replays them through the caller's ChargeFn in replica order — the
-  // exact charge sequence of the sequential loop.  (Replica slots sharing a
-  // backend object fall back to the sequential loop: their staging would
-  // race on one blob map.)
-  std::map<std::size_t, ImageId> placements;
-  if (pool_ != nullptr && distinct_replicas_ && replicas_.size() >= 2 &&
-      pool_->worker_count() >= 2) {
-    struct StageOutcome {
-      ImageId id = kBadImageId;
-      std::uint64_t retries = 0;
-      StoreErrorKind error = StoreErrorKind::kNone;
-      std::vector<SimTime> charges;
-      StageTraceLog log;
-    };
-    std::vector<StageOutcome> outcomes(replicas_.size());
-    pool_->run(replicas_.size(), [&](std::size_t r) {
-      StageOutcome& out = outcomes[r];
-      const ChargeFn ledger = [&out](SimTime t) {
-        out.log.spent += t;
-        out.charges.push_back(t);
-      };
-      out.id = stage_on_replica(r, blob, crc, ledger, salt, out.retries, out.error,
-                                &out.log);
-    });
-    for (std::size_t r = 0; r < outcomes.size(); ++r) {
-      StageOutcome& out = outcomes[r];
-      const SimTime base = trace != nullptr ? trace->now() : 0;
-      if (charge) {
-        for (SimTime t : out.charges) charge(t);
-      }
-      receipt.retries += out.retries;
-      if (out.error != StoreErrorKind::kNone) receipt.last_error = out.error;
-      if (out.id != kBadImageId) placements.emplace(r, out.id);
-      emit_stage(r, base, out.log, out.id);
-    }
-  } else {
+  // Per-replica diff against the placement map, computed up front so the
+  // fan-out only ever reads shared state.  Fresh chunks are missing
+  // everywhere by definition; reused chunks are missing only on replicas
+  // that sat out the store that created them.
+  std::vector<std::vector<ChunkKey>> missing(replicas_.size());
+  if (enc.has_value()) {
     for (std::size_t r = 0; r < replicas_.size(); ++r) {
-      StageTraceLog log;
-      const SimTime base = trace != nullptr ? trace->now() : 0;
-      ChargeFn wrapped = charge;
-      if (trace != nullptr) {
-        // Mirror the worker ledger: spent accumulates even when the caller
-        // passed no ChargeFn, so serial and parallel traces agree.
-        wrapped = [&log, &charge](SimTime t) {
-          log.spent += t;
-          if (charge) charge(t);
-        };
+      for (const ChunkKey& key : enc->refs) {
+        const auto it = chunk_placements_.find(key);
+        if (it == chunk_placements_.end() || !it->second.contains(r)) {
+          missing[r].push_back(key);
+        }
       }
-      const ImageId id = stage_on_replica(r, blob, crc, wrapped, salt, receipt.retries,
-                                          receipt.last_error,
-                                          trace != nullptr ? &log : nullptr);
-      if (id != kBadImageId) placements.emplace(r, id);
-      emit_stage(r, base, log, id);
     }
   }
 
-  // Phase 2: publish iff the write quorum verified; otherwise roll back so
-  // a failed store leaves no trace.
-  if (placements.size() < options_.write_quorum) {
-    for (const auto& [r, id] : placements) replicas_[r]->erase(id);
-    if (receipt.last_error == StoreErrorKind::kNone) {
-      receipt.last_error = StoreErrorKind::kNoQuorum;
+  // Stage + verify on every replica, one task per replica.  Each task
+  // ledgers its sim-time charges; the join replays them through the
+  // caller's ChargeFn in replica order and renders each replica-stage span
+  // from the ledger with explicit timestamps — so charges, events and seq
+  // order are byte-identical for any worker count.  Replica slots sharing a
+  // backend stage inline: their staging would race on one blob map.
+  struct StageOutcome {
+    ReplicaStage stage;
+    std::uint64_t retries = 0;
+    StoreErrorKind error = StoreErrorKind::kNone;
+    std::vector<SimTime> charges;
+    StageTraceLog log;
+  };
+  std::vector<StageOutcome> outcomes(replicas_.size());
+  util::parallel_for(distinct_replicas_ ? pool_ : nullptr, replicas_.size(),
+                     [&](std::size_t r) {
+                       StageOutcome& out = outcomes[r];
+                       const ChargeFn ledger = [&out](SimTime t) {
+                         out.log.spent += t;
+                         out.charges.push_back(t);
+                       };
+                       out.stage = stage_replica(r, manifest, crc, missing[r], ledger, salt,
+                                                 out.retries, out.error, &out.log);
+                     });
+  std::vector<ReplicaStage> stages;
+  stages.reserve(outcomes.size());
+  for (std::size_t r = 0; r < outcomes.size(); ++r) {
+    StageOutcome& out = outcomes[r];
+    const SimTime base = trace != nullptr ? trace->now() : 0;
+    if (charge) {
+      for (SimTime t : out.charges) charge(t);
     }
-    if (observer != nullptr) {
-      observer->trace().instant(
-          "commit-failed", "storage", obs::kStorageTrack,
-          {obs::TraceArg::str("error", to_string(receipt.last_error)),
-           obs::TraceArg::num("staged", placements.size()),
-           obs::TraceArg::num("quorum", options_.write_quorum)});
-      observer->metrics().add("store.commit_failed");
-      observer->metrics().add("store.stage_retries", receipt.retries);
-    }
-    return receipt;
+    receipt.retries += out.retries;
+    if (out.error != StoreErrorKind::kNone) receipt.last_error = out.error;
+    emit_stage(r, base, out.log, out.stage);
+    stages.push_back(std::move(out.stage));
   }
 
-  receipt.id = next_id_++;
-  receipt.committed_replicas = static_cast<std::uint32_t>(placements.size());
-  manifest_.emplace(receipt.id, Entry{crc, blob.size(), std::move(placements)});
-  if (observer != nullptr) {
-    observer->trace().instant(
-        "commit", "storage", obs::kStorageTrack,
-        {obs::TraceArg::num("id", receipt.id),
-         obs::TraceArg::num("replicas", receipt.committed_replicas),
-         obs::TraceArg::num("bytes", blob.size())});
-    obs::MetricsRegistry& metrics = observer->metrics();
-    metrics.add("store.committed");
-    metrics.add("store.stage_retries", receipt.retries);
-    metrics.add("store.bytes_committed", blob.size());
-  }
-  return receipt;
+  const std::uint64_t committed_bytes = enc.has_value() ? enc->stored_bytes : blob.size();
+  return publish(receipt, stages,
+                 Publish{crc, manifest.size(), committed_bytes,
+                         enc.has_value() ? &*enc : nullptr, std::nullopt});
 }
 
 ImageId ReplicatedStore::store(const CheckpointImage& image, const ChargeFn& charge) {
@@ -465,8 +348,7 @@ StoreReceipt ReplicatedStore::store_streamed(const StreamSource& source,
     throw std::logic_error("ReplicatedStore: store_streamed requires flat (non-dedup) mode");
   }
   StoreReceipt receipt;
-  obs::Observer* observer = options_.observer;
-  obs::TraceRecorder* trace = obs::tracer(observer);
+  obs::TraceRecorder* trace = obs::tracer(options_.observer);
   const std::uint64_t salt = ++op_counter_;
   const std::size_t chunk_count = source.chunk_count;
   const std::size_t replica_count = replicas_.size();
@@ -478,38 +360,46 @@ StoreReceipt ReplicatedStore::store_streamed(const StreamSource& source,
                   obs::TraceArg::num("chunks", chunk_count)});
   }
 
-  // Phase 0: open one append stage per replica and land the image prelude,
-  // in replica order on the caller.  The open pays the per-IO setup latency
-  // once; every later append pays marginal bandwidth only.
-  std::vector<BlobStoreBackend::StageId> stages(replica_count,
-                                                BlobStoreBackend::kBadStageId);
-  std::vector<char> failed(replica_count, 0);
-  std::vector<StoreErrorKind> lane_error(replica_count, StoreErrorKind::kNone);
+  // Every caller-side charge of lane r goes through lane_charge(r): it
+  // feeds the per-lane total the replica-stream span is rendered from.
   std::vector<SimTime> lane_spent(replica_count, 0);
-  for (std::size_t r = 0; r < replica_count; ++r) {
-    const ChargeFn opened = [&lane_spent, &charge, r](SimTime t) {
+  const auto lane_charge = [&lane_spent, &charge](std::size_t r) -> ChargeFn {
+    return [&lane_spent, &charge, r](SimTime t) {
       lane_spent[r] += t;
       if (charge) charge(t);
     };
-    stages[r] = replicas_[r]->begin_staged(opened);
-    if (stages[r] == BlobStoreBackend::kBadStageId) {
+  };
+  const auto append_error = [this](std::size_t r) {
+    return replicas_[r]->reachable() ? StoreErrorKind::kRejected
+                                     : StoreErrorKind::kUnreachable;
+  };
+
+  // Phase 0: open one append stage per replica and land the image prelude,
+  // in replica order on the caller.  The open pays the per-IO setup latency
+  // once; every later append pays marginal bandwidth only.
+  std::vector<BlobStoreBackend::StageId> open(replica_count, BlobStoreBackend::kBadStageId);
+  std::vector<char> failed(replica_count, 0);
+  std::vector<StoreErrorKind> lane_error(replica_count, StoreErrorKind::kNone);
+  for (std::size_t r = 0; r < replica_count; ++r) {
+    const ChargeFn opened = lane_charge(r);
+    open[r] = replicas_[r]->begin_staged(opened);
+    if (open[r] == BlobStoreBackend::kBadStageId) {
       failed[r] = 1;
       lane_error[r] = StoreErrorKind::kUnreachable;
-    } else if (!replicas_[r]->append_staged(stages[r], source.prelude, opened)) {
+    } else if (!replicas_[r]->append_staged(open[r], source.prelude, opened)) {
       failed[r] = 1;
-      lane_error[r] = replicas_[r]->reachable() ? StoreErrorKind::kRejected
-                                                : StoreErrorKind::kUnreachable;
+      lane_error[r] = append_error(r);
     }
   }
 
-  // Phase 1: produce chunks (on pool workers when available) and append
-  // each to every still-healthy stage.  Replica lanes are ticket-gated —
-  // chunk i appends to replica r only after chunk i-1 did — so each stage
-  // receives chunks in order while different chunks encode and different
-  // replicas append concurrently.  The pool dispatches indices in ascending
-  // order, so the holder of ticket i-1 is always already running and the
-  // spin below cannot deadlock.  Every charge lands in a per-(chunk,
-  // replica) ledger replayed after the join.
+  // Phase 1: produce chunks (on pool workers) and append each to every
+  // still-healthy stage.  Replica lanes are ticket-gated — chunk i appends
+  // to replica r only after chunk i-1 did — so each stage receives chunks in
+  // order while different chunks encode and different replicas append
+  // concurrently.  The pool dispatches indices in ascending order, so the
+  // holder of ticket i-1 is always already running and the spin below
+  // cannot deadlock.  Every charge lands in a per-(chunk, replica) ledger
+  // replayed after the join.
   struct Lane {
     std::vector<SimTime> charges;
     StoreErrorKind error = StoreErrorKind::kNone;
@@ -524,7 +414,7 @@ StoreReceipt ReplicatedStore::store_streamed(const StreamSource& source,
   std::vector<ChunkOutcome> outcomes(chunk_count);
   for (ChunkOutcome& out : outcomes) out.lanes.resize(replica_count);
   std::vector<std::atomic<std::size_t>> cursor(replica_count);
-  const auto stream_one = [&](std::size_t i) {
+  util::parallel_for(distinct_replicas_ ? pool_ : nullptr, chunk_count, [&](std::size_t i) {
     ChunkOutcome& out = outcomes[i];
     const StreamChunk chunk = source.produce(i);
     out.crc = util::crc64(chunk.bytes);
@@ -536,22 +426,15 @@ StoreReceipt ReplicatedStore::store_streamed(const StreamSource& source,
       if (failed[r] == 0) {
         Lane& lane = out.lanes[r];
         const ChargeFn ledger = [&lane](SimTime t) { lane.charges.push_back(t); };
-        if (!replicas_[r]->append_staged(stages[r], chunk.bytes, ledger)) {
-          lane.error = replicas_[r]->reachable() ? StoreErrorKind::kRejected
-                                                 : StoreErrorKind::kUnreachable;
+        if (!replicas_[r]->append_staged(open[r], chunk.bytes, ledger)) {
+          lane.error = append_error(r);
           lane.failed_here = 1;
           failed[r] = 1;
         }
       }
       cursor[r].store(i + 1, std::memory_order_release);
     }
-  };
-  if (pool_ != nullptr && distinct_replicas_ && chunk_count >= 2 &&
-      pool_->worker_count() >= 2) {
-    pool_->run(chunk_count, stream_one);
-  } else {
-    for (std::size_t i = 0; i < chunk_count; ++i) stream_one(i);
-  }
+  });
 
   // Replay the ledgers in chunk-then-replica order — the charge sequence of
   // a fully serial run, whatever the pool width.
@@ -574,23 +457,17 @@ StoreReceipt ReplicatedStore::store_streamed(const StreamSource& source,
   // order on the caller.
   for (std::size_t r = 0; r < replica_count; ++r) {
     if (failed[r] != 0) continue;
-    const ChargeFn lane_charge = [&lane_spent, &charge, r](SimTime t) {
-      lane_spent[r] += t;
-      if (charge) charge(t);
-    };
-    if (!replicas_[r]->append_staged(stages[r], source.trailer, lane_charge)) {
+    if (!replicas_[r]->append_staged(open[r], source.trailer, lane_charge(r))) {
       failed[r] = 1;
-      lane_error[r] = replicas_[r]->reachable() ? StoreErrorKind::kRejected
-                                                : StoreErrorKind::kUnreachable;
+      lane_error[r] = append_error(r);
       receipt.last_error = lane_error[r];
     }
   }
 
   // Body CRC from the per-chunk CRCs via crc64_combine — the full blob is
   // only materialized if some replica needs the whole-image fallback.
-  std::uint64_t body_len = 0;
+  std::uint64_t body_len = source.prelude.size();
   std::uint64_t body_crc = util::crc64(source.prelude);
-  body_len += source.prelude.size();
   for (const ChunkOutcome& out : outcomes) {
     body_crc = util::crc64_combine(body_crc, out.crc, out.bytes);
     body_len += out.bytes;
@@ -630,22 +507,17 @@ StoreReceipt ReplicatedStore::store_streamed(const StreamSource& source,
   // Phase 2: seal in replica order on the caller.  A healthy lane backfills
   // the envelope header and CRC-verifies the sealed blob (which is where a
   // silently torn mid-stream append finally surfaces); a failed lane
-  // abandons its stage and retries the classic whole-blob path.
-  std::map<std::size_t, ImageId> placements;
+  // abandons its stage and falls back to the classic whole-blob stage.
+  std::vector<ReplicaStage> stages(replica_count);
   for (std::size_t r = 0; r < replica_count; ++r) {
-    const ChargeFn lane_charge = [&lane_spent, &charge, r](SimTime t) {
-      lane_spent[r] += t;
-      if (charge) charge(t);
-    };
+    const ChargeFn charge_r = lane_charge(r);
     ImageId id = kBadImageId;
-    bool fell_back = false;
-    if (failed[r] == 0 && stages[r] != BlobStoreBackend::kBadStageId) {
-      id = replicas_[r]->finish_staged(stages[r], header, lane_charge);
+    if (failed[r] == 0 && open[r] != BlobStoreBackend::kBadStageId) {
+      id = replicas_[r]->finish_staged(open[r], header, charge_r);
       if (id == kBadImageId) {
-        lane_error[r] = replicas_[r]->reachable() ? StoreErrorKind::kRejected
-                                                  : StoreErrorKind::kUnreachable;
-      } else if (options_.verify_writes) {
-        const auto sealed_crc = replicas_[r]->blob_crc64(id, lane_charge);
+        lane_error[r] = append_error(r);
+      } else {
+        const auto sealed_crc = replicas_[r]->blob_crc64(id, charge_r);
         if (sealed_crc != full_crc) {
           replicas_[r]->erase(id);
           lane_error[r] = sealed_crc.has_value() ? StoreErrorKind::kTornWrite
@@ -653,81 +525,44 @@ StoreReceipt ReplicatedStore::store_streamed(const StreamSource& source,
           id = kBadImageId;
         }
       }
-    } else if (stages[r] != BlobStoreBackend::kBadStageId) {
-      replicas_[r]->abandon_staged(stages[r]);
+    } else if (open[r] != BlobStoreBackend::kBadStageId) {
+      replicas_[r]->abandon_staged(open[r]);
     }
     if (id == kBadImageId) {
-      fell_back = true;
       if (trace != nullptr) {
         trace->instant("stream-fallback", "storage", obs::kStorageTrack,
                        {obs::TraceArg::num("replica", r),
                         obs::TraceArg::str("error", to_string(lane_error[r]))});
       }
-      id = stage_on_replica(r, assemble_full(), full_crc, lane_charge, salt,
-                            receipt.retries, receipt.last_error, nullptr);
+      id = stage_replica(r, assemble_full(), full_crc, {}, charge_r, salt, receipt.retries,
+                         receipt.last_error, nullptr)
+               .manifest_id;
+      if (id == kBadImageId && receipt.last_error == StoreErrorKind::kNone) {
+        receipt.last_error = lane_error[r];
+      }
+      if (options_.observer != nullptr) {
+        options_.observer->metrics().add("store.stream_fallbacks");
+      }
     }
-    if (id != kBadImageId) {
-      placements.emplace(r, id);
-    } else if (receipt.last_error == StoreErrorKind::kNone) {
-      receipt.last_error = lane_error[r];
-    }
-    if (observer != nullptr && fell_back) observer->metrics().add("store.stream_fallbacks");
+    stages[r].manifest_id = id;
   }
 
   // Per-replica stream spans, rendered from the replayed per-lane totals.
   if (trace != nullptr) {
     for (std::size_t r = 0; r < replica_count; ++r) {
+      const bool verified = stages[r].manifest_id != kBadImageId;
       trace->begin_at(stream_base, "replica-stream", "storage", obs::kStorageTrack,
                       {obs::TraceArg::num("replica", r)});
-      trace->end_at(
-          stream_base + lane_spent[r], "replica-stream", obs::kStorageTrack,
-          {obs::TraceArg::num("replica", r),
-           obs::TraceArg::str("outcome", placements.contains(r) ? "verified" : "failed")});
+      trace->end_at(stream_base + lane_spent[r], "replica-stream", obs::kStorageTrack,
+                    {obs::TraceArg::num("replica", r),
+                     obs::TraceArg::str("outcome", verified ? "verified" : "failed")});
     }
   }
 
-  // Phase 3: publish iff the write quorum verified; a failed streamed store
-  // leaves no trace — staged bytes died with their stages.
-  if (placements.size() < options_.write_quorum) {
-    for (const auto& [r, id] : placements) replicas_[r]->erase(id);
-    if (receipt.last_error == StoreErrorKind::kNone) {
-      receipt.last_error = StoreErrorKind::kNoQuorum;
-    }
-    if (trace != nullptr) {
-      trace->end("stream", obs::kStorageTrack,
-                 {obs::TraceArg::str("outcome", "failed"),
-                  obs::TraceArg::str("error", to_string(receipt.last_error))});
-    }
-    if (observer != nullptr) {
-      observer->metrics().add("store.commit_failed");
-      observer->metrics().add("store.stage_retries", receipt.retries);
-    }
-    return receipt;
-  }
-
-  receipt.id = next_id_++;
-  receipt.committed_replicas = static_cast<std::uint32_t>(placements.size());
-  manifest_.emplace(receipt.id, Entry{full_crc, full_bytes, std::move(placements)});
-  if (trace != nullptr) {
-    trace->end("stream", obs::kStorageTrack,
-               {obs::TraceArg::num("id", receipt.id),
-                obs::TraceArg::num("bytes", full_bytes),
-                obs::TraceArg::num("chunks", chunk_count)});
-  }
-  if (observer != nullptr) {
-    observer->trace().instant(
-        "commit", "storage", obs::kStorageTrack,
-        {obs::TraceArg::num("id", receipt.id),
-         obs::TraceArg::num("replicas", receipt.committed_replicas),
-         obs::TraceArg::num("bytes", full_bytes)});
-    obs::MetricsRegistry& metrics = observer->metrics();
-    metrics.add("store.committed");
-    metrics.add("store.streamed");
-    metrics.add("store.stream_chunks", chunk_count);
-    metrics.add("store.stage_retries", receipt.retries);
-    metrics.add("store.bytes_committed", full_bytes);
-  }
-  return receipt;
+  // Phase 3: the shared quorum/rollback/publish tail.  A failed streamed
+  // store leaves no trace — staged bytes died with their stages.
+  return publish(receipt, stages,
+                 Publish{full_crc, full_bytes, full_bytes, nullptr, chunk_count});
 }
 
 std::optional<CheckpointImage> ReplicatedStore::load(ImageId id, const ChargeFn& charge) {

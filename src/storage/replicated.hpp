@@ -83,10 +83,6 @@ struct ReplicatedOptions {
   std::uint32_t write_quorum = 1;
   /// Retry schedule for per-replica staging and for load sweeps.
   RetryPolicy retry;
-  /// Read staged bytes back and CRC64-check them before commit.  Disabling
-  /// this reverts to write-and-hope (the pre-PR behaviour, kept only for
-  /// the bench that quantifies what verification buys).
-  bool verify_writes = true;
   /// Worker pool for the commit pipeline: sharded serialize, concurrent
   /// replica staging, and scrub CRC verification.  nullptr selects the
   /// process-wide ThreadPool::shared() (sized by CKPT_WORKERS).  Parallelism
@@ -95,9 +91,6 @@ struct ReplicatedOptions {
   /// order, so sim cost accounting, retry jitter and every stored byte are
   /// identical to a serial run for any worker count.
   util::ThreadPool* pool = nullptr;
-  /// Force the fully serial pre-pipeline path (no pool at all); kept as the
-  /// perf baseline bench_pipeline measures the pipeline against.
-  bool serial_commit = false;
   /// Observability sink (null = disabled).  Store/scrub phases emit spans on
   /// the storage track; per-replica events are recorded with explicit
   /// timestamps derived from the replayed charge ledgers, so traces are
@@ -261,41 +254,53 @@ class ReplicatedStore final : public StorageBackend, public ChunkReclaimable {
   /// Per-replica trace ledger: cumulative sim-time charged through the
   /// (wrapped) ChargeFn plus retry marks at their relative offsets.  The
   /// caller turns it into span events with explicit timestamps after the
-  /// charges have been (re)played — identically on the serial and parallel
-  /// paths, which is what keeps traces invariant under CKPT_WORKERS.
+  /// charges have been replayed, which is what keeps traces invariant under
+  /// CKPT_WORKERS.
   struct StageTraceLog {
     SimTime spent = 0;
     std::vector<std::pair<SimTime, StoreErrorKind>> retry_marks;
   };
 
-  /// Stage + verify `blob` on replica `r`, retrying per policy.  On success
-  /// returns the physical id; on failure records the last error.  `log` (may
-  /// be null) must be the same object the caller's charge wrapper feeds.
-  ImageId stage_on_replica(std::size_t r, const std::vector<std::byte>& blob,
-                           std::uint64_t crc, const ChargeFn& charge,
-                           std::uint64_t salt, std::uint64_t& retries,
-                           StoreErrorKind& error, StageTraceLog* log);
-
-  /// Dedup-mode stage of one image on replica `r`: writes the chunks this
-  /// replica is missing (in closure order), then the manifest, each under
-  /// stage_on_replica's retry+verify.  Any failure rolls this replica's
-  /// newly staged blobs back.
-  struct DedupStage {
+  /// One replica's staged share of a commit: the verified manifest blob
+  /// (flat mode: the serialized image itself) and the content chunks newly
+  /// staged under it (always empty in flat mode).
+  struct ReplicaStage {
     ImageId manifest_id = kBadImageId;
-    std::vector<std::pair<ChunkKey, ImageId>> chunks;  ///< newly staged
+    std::vector<std::pair<ChunkKey, ImageId>> chunks;
   };
-  DedupStage stage_dedup_on_replica(std::size_t r,
-                                    const ChunkTable::EncodedImage& enc,
-                                    const std::vector<ChunkKey>& missing,
-                                    const ChargeFn& charge, std::uint64_t salt,
-                                    std::uint64_t& retries, StoreErrorKind& error,
-                                    StageTraceLog* log);
 
-  StoreReceipt store_verbose_dedup(const CheckpointImage& image, const ChargeFn& charge);
+  /// The one per-replica stage routine every commit mode uses: writes the
+  /// chunks replica `r` is missing (closure order), then the manifest, each
+  /// staged and read-back verified under the retry policy.  Any failure
+  /// rolls this replica's newly staged blobs back (manifest_id stays
+  /// kBadImageId).  `log` (may be null) must be the object the caller's
+  /// charge wrapper feeds.
+  ReplicaStage stage_replica(std::size_t r, const std::vector<std::byte>& manifest,
+                             std::uint64_t manifest_crc, const std::vector<ChunkKey>& missing,
+                             const ChargeFn& charge, std::uint64_t salt,
+                             std::uint64_t& retries, StoreErrorKind& error,
+                             StageTraceLog* log);
+
+  /// Render one replica-stage span from its replayed ledger.
+  void emit_stage(std::size_t r, SimTime base, const StageTraceLog& log,
+                  const ReplicaStage& stage);
+
+  /// What a commit publishes once its replicas are staged.
+  struct Publish {
+    std::uint64_t crc = 0;              ///< manifest blob CRC (the certificate)
+    std::uint64_t bytes = 0;            ///< manifest blob size
+    std::uint64_t committed_bytes = 0;  ///< durable bytes this commit added
+    ChunkTable::EncodedImage* enc = nullptr;   ///< dedup commits only
+    std::optional<std::size_t> stream_chunks;  ///< streamed commits only
+  };
+  /// The shared commit tail: publish the manifest entry iff >= write_quorum
+  /// replicas verified, otherwise roll every stage back.
+  StoreReceipt publish(StoreReceipt receipt, std::vector<ReplicaStage>& stages,
+                       const Publish& what);
 
   std::vector<BlobStoreBackend*> replicas_;
   ReplicatedOptions options_;
-  util::ThreadPool* pool_ = nullptr;  ///< null ⇒ serial commit path
+  util::ThreadPool* pool_ = nullptr;  ///< options_.pool or the shared pool
   bool distinct_replicas_ = true;     ///< replica slots never share a backend
   std::map<ImageId, Entry> manifest_;
   std::unique_ptr<ChunkTable> table_;  ///< non-null iff options_.dedup
