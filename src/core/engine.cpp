@@ -335,24 +335,26 @@ CheckpointResult CheckpointEngine::perform_kernel_checkpoint(sim::SimKernel& ker
     result.pause_ns = kernel.effective_now() - pause_origin;
   }
 
-  auto charge = [&](SimTime t) { kernel.charge_time(t); };
   auto* replicated = dynamic_cast<storage::ReplicatedStore*>(backend_);
   const bool streamed =
       options_.streaming && replicated != nullptr && !replicated->dedup_enabled();
-  const bool may_retry = options_.store_retry.max_attempts > 1;
 
+  if (trace != nullptr) trace->begin("capture", "ckpt", track);
+  storage::CheckpointImage image;
+  // Streaming commit: metadata and the page plan come off the frozen shadow
+  // up front; page payloads are encoded in fixed-size chunks and appended to
+  // the replicas as they are produced (store_streamed).
+  struct StreamPiece {
+    std::size_t seg = 0;
+    std::size_t first = 0;
+    std::size_t count = 0;
+    bool lead = false;
+  };
+  std::vector<StreamPiece> pieces;
+  std::vector<std::vector<DirtyRange>> seg_entries;
+  storage::CheckpointChain::StoreFn stream_fn;
   if (streamed) {
-    // Streaming commit: metadata and the page plan come off the frozen
-    // shadow up front; page payloads are encoded in fixed-size chunks and
-    // appended to the replicas as they are produced (store_streamed).
-    if (trace != nullptr) trace->begin("capture", "ckpt", track);
-    storage::CheckpointImage image;
     capture_image_metadata(kernel, *capture_target, capture, image);
-    // The image describes the *application*, not the shadow copy.
-    image.pid = proc.pid;
-    image.process_name = proc.name;
-    image.guest = proc.guest_image;
-    image.kind = take_delta ? storage::ImageKind::kIncremental : storage::ImageKind::kFull;
     auto plan = build_capture_plan(*capture_target, capture, image);
     // The shadow is frozen, but the plan may still list pages without a PTE
     // (never touched); prune them here — deterministically, on the caller —
@@ -369,15 +371,8 @@ CheckpointResult CheckpointEngine::perform_kernel_checkpoint(sim::SimKernel& ker
     // concatenation is byte-identical to the classic encode_segment stream:
     // each segment's lead chunk carries its VMA header and page count.
     const std::size_t seg_count = image.segments.size();
-    std::vector<std::vector<DirtyRange>> seg_entries(seg_count);
+    seg_entries.resize(seg_count);
     for (const auto& [seg_idx, range] : plan) seg_entries[seg_idx].push_back(range);
-    struct StreamPiece {
-      std::size_t seg = 0;
-      std::size_t first = 0;
-      std::size_t count = 0;
-      bool lead = false;
-    };
-    std::vector<StreamPiece> pieces;
     for (std::size_t s = 0; s < seg_count; ++s) {
       const std::size_t entries = seg_entries[s].size();
       std::size_t first = 0;
@@ -390,21 +385,10 @@ CheckpointResult CheckpointEngine::perform_kernel_checkpoint(sim::SimKernel& ker
         first += take;
       } while (first < entries);
     }
-
-    std::uint64_t payload = 0;
     for (const auto& [seg_idx, range] : plan) {
-      payload += std::min<std::uint32_t>(range.length, sim::kPageSize - range.offset);
+      result.payload_bytes += std::min<std::uint32_t>(range.length, sim::kPageSize - range.offset);
     }
-    result.kind = image.kind;
-    result.payload_bytes = payload;
     result.pages = plan.size();
-    if (trace != nullptr) {
-      trace->end("capture", track,
-                 {obs::TraceArg::str("kind", to_string(result.kind)),
-                  obs::TraceArg::num("pages", result.pages),
-                  obs::TraceArg::num("bytes", result.payload_bytes)});
-      trace->begin("store", "ckpt", track, {obs::TraceArg::num("streamed", 1)});
-    }
 
     const auto produce = [&](std::size_t i) {
       const StreamPiece& piece = pieces[i];
@@ -427,7 +411,10 @@ CheckpointResult CheckpointEngine::perform_kernel_checkpoint(sim::SimKernel& ker
       chunk.bytes = std::move(s).take();
       return chunk;
     };
-    const auto stream_store = [&](const storage::CheckpointImage& img) {
+    // append_via assigns sequence/parent before the prelude is encoded; a
+    // failed streamed store never advances the chain, so re-running the
+    // whole stream under the retry policy is safe.
+    stream_fn = [&, produce](const storage::CheckpointImage& img) {
       storage::ReplicatedStore::StreamSource source;
       util::Serializer prelude;
       storage::encode_image_prelude(prelude, img);
@@ -437,91 +424,58 @@ CheckpointResult CheckpointEngine::perform_kernel_checkpoint(sim::SimKernel& ker
       source.trailer = std::move(trailer).take();
       source.chunk_count = pieces.size();
       source.produce = produce;
-      return replicated->store_streamed(source, charge).id;
+      return replicated->store_streamed(source, [&](SimTime t) { kernel.charge_time(t); }).id;
     };
-    // append_via assigns sequence/parent before the prelude is encoded; a
-    // failed streamed store never advances the chain, so re-running the
-    // whole stream under the retry policy is safe.
-    result.image_id = state.chain.append_via(image, stream_store);
-    if (result.image_id == storage::kBadImageId && may_retry) {
-      storage::Retrier retrier(options_.store_retry,
-                               (static_cast<std::uint64_t>(proc.pid) << 20) ^ state.taken);
-      while (result.image_id == storage::kBadImageId) {
-        const std::optional<SimTime> delay = retrier.next_delay();
-        if (!delay.has_value()) break;
-        charge(*delay);
-        result.image_id = state.chain.append_via(image, stream_store);
-      }
-      result.store_retries = retrier.retries();
-    }
-    if (trace != nullptr) {
-      trace->end("store", track,
-                 {obs::TraceArg::num("image_id", result.image_id),
-                  obs::TraceArg::num("retries", result.store_retries),
-                  obs::TraceArg::num("chunks", pieces.size())});
-    }
   } else {
-    if (trace != nullptr) trace->begin("capture", "ckpt", track);
-    storage::CheckpointImage image =
-        capture_kernel_level(kernel, *capture_target, capture);
-    // The image describes the *application*, not the shadow copy.
-    image.pid = proc.pid;
-    image.process_name = proc.name;
-    image.guest = proc.guest_image;
-    image.kind = take_delta ? storage::ImageKind::kIncremental : storage::ImageKind::kFull;
-
-    result.kind = image.kind;
+    image = capture_kernel_level(kernel, *capture_target, capture);
     result.payload_bytes = image.payload_bytes();
     result.pages = image.page_count();
-    if (trace != nullptr) {
-      trace->end("capture", track,
-                 {obs::TraceArg::str("kind", to_string(result.kind)),
-                  obs::TraceArg::num("pages", result.pages),
-                  obs::TraceArg::num("bytes", result.payload_bytes)});
+  }
+  // The image describes the *application*, not the shadow copy.
+  image.pid = proc.pid;
+  image.process_name = proc.name;
+  image.guest = proc.guest_image;
+  image.kind = take_delta ? storage::ImageKind::kIncremental : storage::ImageKind::kFull;
+  result.kind = image.kind;
+  if (trace != nullptr) {
+    trace->end("capture", track,
+               {obs::TraceArg::str("kind", to_string(result.kind)),
+                obs::TraceArg::num("pages", result.pages),
+                obs::TraceArg::num("bytes", result.payload_bytes)});
+    if (streamed) {
+      trace->begin("store", "ckpt", track, {obs::TraceArg::num("streamed", 1)});
+    } else {
       trace->begin("store", "ckpt", track);
     }
-
-    // Store with bounded retry: a transient StoreFault (rejection, outage
-    // window) costs backoff time instead of a lost checkpoint.  A failed
-    // append never advances the chain, so re-appending is safe.  The image is
-    // only copied when a retry is actually possible.
-    std::optional<storage::CheckpointImage> spare;
-    if (may_retry) spare = image;
-    result.image_id = state.chain.append(std::move(image), charge);
-    if (result.image_id == storage::kBadImageId && may_retry) {
-      storage::Retrier retrier(options_.store_retry,
-                               (static_cast<std::uint64_t>(proc.pid) << 20) ^ state.taken);
-      while (result.image_id == storage::kBadImageId) {
-        const std::optional<SimTime> delay = retrier.next_delay();
-        if (!delay.has_value()) break;
-        charge(*delay);
-        result.image_id = state.chain.append(*spare, charge);
-      }
-      result.store_retries = retrier.retries();
-    }
-    if (trace != nullptr) {
-      trace->end("store", track,
-                 {obs::TraceArg::num("image_id", result.image_id),
-                  obs::TraceArg::num("retries", result.store_retries)});
-    }
-  }
-
-  // Reap the shadow here on the normal paths (the ShadowReaper backstops
-  // early returns and exceptions, so no exit can leak it).
-  shadow.reap_now();
-  if (options_.consistency == ConsistencyMode::kStopTarget) {
-    // Stop-the-world pays for everything between stop and resume.
-    result.pause_ns = kernel.effective_now() - pause_origin;
-    if (was_runnable) kernel.resume_process(proc);
   }
 
   // The clock freezes inside a scheduling step; the checkpoint's duration
-  // is the time charged against the executing context.
-  const SimTime consumed = kernel.step_charge() - charge_before;
+  // is the time charged against the executing context up to the release.
+  SimTime consumed = 0;
+  const StoreOutcome stored =
+      store_step(kernel, state, proc.pid, &proc, image, stream_fn, [&](const StoreOutcome& out) {
+        if (trace != nullptr) {
+          std::vector<obs::TraceArg> args{obs::TraceArg::num("image_id", out.image_id),
+                                          obs::TraceArg::num("retries", out.retries)};
+          if (streamed) args.push_back(obs::TraceArg::num("chunks", pieces.size()));
+          trace->end("store", track, std::move(args));
+        }
+        // Reap the shadow here on the normal paths (the ShadowReaper
+        // backstops early returns and exceptions, so no exit can leak it).
+        shadow.reap_now();
+        if (options_.consistency == ConsistencyMode::kStopTarget) {
+          // Stop-the-world pays for everything between stop and resume.
+          result.pause_ns = kernel.effective_now() - pause_origin;
+          if (was_runnable) kernel.resume_process(proc);
+        }
+        consumed = kernel.step_charge() - charge_before;
+      });
+  result.image_id = stored.image_id;
+  result.store_retries = stored.retries;
+  result.completed_at = stored.clock + consumed;
 
-  if (result.image_id == storage::kBadImageId) {
+  if (!stored.ok()) {
     result.error = name_ + ": storage backend rejected the image";
-    result.completed_at = kernel.now() + consumed;
     if (trace != nullptr) {
       trace->end("checkpoint", track,
                  {obs::TraceArg::str("outcome", "store-failed"),
@@ -536,54 +490,7 @@ CheckpointResult CheckpointEngine::perform_kernel_checkpoint(sim::SimKernel& ker
     return result;
   }
 
-  ++state.taken;
-  if (state.tracker != nullptr) state.tracker->begin_interval(kernel, proc);
-
-  // A fresh full image is the one moment pruning can pay off: everything
-  // before the newest verified full image leaves the fallback-keep set, and
-  // chunk GC can then return the bytes only those images referenced.
-  if (options_.prune_after_full && result.kind == storage::ImageKind::kFull &&
-      state.chain.length() > 1) {
-    obs::SpanGuard prune_span(trace, "prune", "ckpt", track);
-    const std::size_t before = state.chain.length();
-    state.chain.prune(charge);
-    std::uint64_t chunks_freed = 0;
-    std::uint64_t bytes_freed = 0;
-    if (auto* reclaimable = dynamic_cast<storage::ChunkReclaimable*>(backend_)) {
-      const storage::GcReport report = reclaimable->gc(charge);
-      chunks_freed = report.chunks_freed;
-      bytes_freed = report.bytes_freed;
-    }
-    if (observer != nullptr) {
-      obs::MetricsRegistry& metrics = observer->metrics();
-      metrics.add("gc.runs");
-      metrics.add("gc.images_pruned", before - state.chain.length());
-      metrics.add("gc.chunks_freed", chunks_freed);
-      metrics.add("gc.bytes_freed", bytes_freed);
-    }
-  }
-
   result.ok = true;
-  result.completed_at = kernel.now() + consumed;
-
-  // Append-commit drain: the image is already durable in the log, so the
-  // migrator publishes it to the home store *after* completed_at was fixed —
-  // its charges extend the kernel clock but never the commit latency.
-  if (options_.append_commit) {
-    if (auto* journal = dynamic_cast<storage::LogStructuredBackend*>(backend_)) {
-      obs::SpanGuard drain_span(trace, "journal.drain", "ckpt", track);
-      const storage::LogStructuredBackend::MigrateReport drained = journal->migrate(charge);
-      if (observer != nullptr) {
-        obs::MetricsRegistry& metrics = observer->metrics();
-        metrics.add("journal.drain_runs");
-        metrics.add("journal.drained_images", drained.images_drained);
-        metrics.add("journal.drained_bytes", drained.bytes_drained);
-      }
-      drain_span.end({obs::TraceArg::num("drained", drained.images_drained),
-                      obs::TraceArg::num("reclaimed", drained.segments_reclaimed)});
-    }
-  }
-
   if (trace != nullptr) {
     trace->end("checkpoint", track,
                {obs::TraceArg::str("outcome", "ok"),
@@ -616,6 +523,88 @@ CheckpointResult CheckpointEngine::perform_kernel_checkpoint(sim::SimKernel& ker
              name_.c_str(), proc.pid, to_string(result.kind),
              static_cast<unsigned long long>(result.payload_bytes));
   return result;
+}
+
+CheckpointEngine::StoreOutcome CheckpointEngine::store_step(
+    sim::SimKernel& kernel, ProcState& state, sim::Pid pid, sim::Process* proc,
+    storage::CheckpointImage& image, const storage::CheckpointChain::StoreFn& stream_fn,
+    const std::function<void(const StoreOutcome&)>& settle) {
+  auto charge = [&](SimTime t) { kernel.charge_time(t); };
+  const storage::CheckpointChain::StoreFn classic = [&](const storage::CheckpointImage& img) {
+    return backend_->store(img, charge);
+  };
+  const storage::CheckpointChain::StoreFn& store_fn = stream_fn ? stream_fn : classic;
+
+  // Store with bounded retry: a transient StoreFault (rejection, outage
+  // window) costs backoff time instead of a lost checkpoint.  A failed
+  // append never advances the chain, so re-appending is safe.
+  StoreOutcome out;
+  out.image_id = state.chain.append_via(image, store_fn);
+  if (!out.ok() && options_.store_retry.max_attempts > 1) {
+    storage::Retrier retrier(options_.store_retry,
+                             (static_cast<std::uint64_t>(pid) << 20) ^ state.taken);
+    while (!out.ok()) {
+      const std::optional<SimTime> delay = retrier.next_delay();
+      if (!delay.has_value()) break;
+      charge(*delay);
+      out.image_id = state.chain.append_via(image, store_fn);
+    }
+    out.retries = retrier.retries();
+  }
+  if (settle) settle(out);
+  if (out.ok()) {
+    ++state.taken;
+    if (state.tracker != nullptr && proc != nullptr) state.tracker->begin_interval(kernel, *proc);
+  }
+  out.clock = kernel.now();
+  out.step_charge = kernel.step_charge();
+  if (!out.ok()) return out;
+
+  obs::Observer* observer = kernel.observer();
+  obs::TraceRecorder* trace = obs::tracer(observer);
+  const std::uint64_t track = static_cast<std::uint64_t>(pid);
+  // A fresh full image is the one moment pruning can pay off: everything
+  // before the newest verified full image leaves the fallback-keep set, and
+  // chunk GC can then return the bytes only those images referenced.
+  if (options_.prune_after_full && image.kind == storage::ImageKind::kFull &&
+      state.chain.length() > 1) {
+    obs::SpanGuard prune_span(trace, "prune", "ckpt", track);
+    const std::size_t before = state.chain.length();
+    state.chain.prune(charge);
+    std::uint64_t chunks_freed = 0;
+    std::uint64_t bytes_freed = 0;
+    if (auto* reclaimable = dynamic_cast<storage::ChunkReclaimable*>(backend_)) {
+      const storage::GcReport report = reclaimable->gc(charge);
+      chunks_freed = report.chunks_freed;
+      bytes_freed = report.bytes_freed;
+    }
+    if (observer != nullptr) {
+      obs::MetricsRegistry& metrics = observer->metrics();
+      metrics.add("gc.runs");
+      metrics.add("gc.images_pruned", before - state.chain.length());
+      metrics.add("gc.chunks_freed", chunks_freed);
+      metrics.add("gc.bytes_freed", bytes_freed);
+    }
+  }
+
+  // Append-commit drain: the image is already durable in the log, so the
+  // migrator publishes it to the home store after the commit point — its
+  // charges extend the kernel clock but never the commit latency.
+  if (options_.append_commit) {
+    if (auto* journal = dynamic_cast<storage::LogStructuredBackend*>(backend_)) {
+      obs::SpanGuard drain_span(trace, "journal.drain", "ckpt", track);
+      const storage::LogStructuredBackend::MigrateReport drained = journal->migrate(charge);
+      if (observer != nullptr) {
+        obs::MetricsRegistry& metrics = observer->metrics();
+        metrics.add("journal.drain_runs");
+        metrics.add("journal.drained_images", drained.images_drained);
+        metrics.add("journal.drained_bytes", drained.bytes_drained);
+      }
+      drain_span.end({obs::TraceArg::num("drained", drained.images_drained),
+                      obs::TraceArg::num("reclaimed", drained.segments_reclaimed)});
+    }
+  }
+  return out;
 }
 
 std::uint64_t CheckpointEngine::record_result(CheckpointResult result) {

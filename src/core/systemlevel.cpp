@@ -1,6 +1,7 @@
 #include "core/systemlevel.hpp"
 
 #include <cstring>
+#include <stdexcept>
 
 #include "obs/observer.hpp"
 
@@ -130,6 +131,11 @@ KernelThreadEngine::KernelThreadEngine(std::string name, storage::StorageBackend
                                        EngineOptions options, sim::SimKernel& kernel,
                                        ThreadConfig config, sim::KernelModule* module)
     : CheckpointEngine(std::move(name), backend, std::move(options)), config_(config) {
+  if (options_.streaming) {
+    throw std::invalid_argument(
+        "KernelThreadEngine: streaming is not supported (capture completes across "
+        "quanta before the store begins)");
+  }
   thread_pid_ = kernel.spawn_kernel_thread(
       name_ + "-kthread", [this](sim::SimKernel& k) { return thread_body(k); },
       config_.sched);
@@ -341,46 +347,41 @@ void KernelThreadEngine::finish_session(sim::SimKernel& kernel) {
   }
 
   ProcState& state = state_for(session.request.target);
-  auto charge = [&](SimTime t) { kernel.charge_time(t); };
-  result.image_id = state.chain.append(std::move(image), charge);
-  if (trace != nullptr) {
-    trace->end("store", track, {obs::TraceArg::num("image_id", result.image_id)});
-  }
-
-  if (session.shadow_pid != sim::kNoPid) {
-    if (sim::Process* shadow = kernel.find_process(session.shadow_pid)) {
-      kernel.terminate(*shadow, 0);
-      kernel.reap(session.shadow_pid);
-    }
-  }
-  if (options_.consistency == ConsistencyMode::kStopTarget && target != nullptr &&
-      session.was_runnable) {
-    kernel.resume_process(*target);
-  }
-
-  // COW activity the live shadow induced while the target kept running: every
-  // write the target made to a still-shared page paid a fault + page copy.
   std::uint64_t cow_faults = 0;
-  if (session.shadow_pid != sim::kNoPid && target != nullptr) {
-    cow_faults = target->stats.cow_faults - session.cow_at_start;
-  }
+  const StoreOutcome stored = store_step(
+      kernel, state, session.request.target, target, image, {}, [&](const StoreOutcome& out) {
+        if (trace != nullptr) {
+          trace->end("store", track, {obs::TraceArg::num("image_id", out.image_id)});
+        }
+        if (session.shadow_pid != sim::kNoPid) {
+          if (sim::Process* shadow = kernel.find_process(session.shadow_pid)) {
+            kernel.terminate(*shadow, 0);
+            kernel.reap(session.shadow_pid);
+          }
+        }
+        if (options_.consistency == ConsistencyMode::kStopTarget && target != nullptr &&
+            session.was_runnable) {
+          kernel.resume_process(*target);
+        }
+        // COW activity the live shadow induced while the target kept
+        // running: every write the target made to a still-shared page paid a
+        // fault + page copy.
+        if (session.shadow_pid != sim::kNoPid && target != nullptr) {
+          cow_faults = target->stats.cow_faults - session.cow_at_start;
+        }
+      });
   const SimTime cow_fault_ns =
       cow_faults * (kernel.costs().cow_fault_extra_ns +
                     kernel.costs().mem_copy_cost(sim::kPageSize));
 
-  if (result.image_id == storage::kBadImageId) {
-    result.error = name_ + ": storage backend rejected the image";
-  } else {
-    result.ok = true;
-    ++state.taken;
-    if (state.tracker != nullptr && target != nullptr) {
-      state.tracker->begin_interval(kernel, *target);
-    }
-  }
+  result.image_id = stored.image_id;
+  result.store_retries = stored.retries;
+  result.ok = stored.ok();
+  if (!result.ok) result.error = name_ + ": storage backend rejected the image";
   // The clock freezes within a scheduling step; time this step's work has
   // already charged (page copies, the storage write) counts toward the
   // completion instant.
-  result.completed_at = kernel.now() + kernel.step_charge();
+  result.completed_at = stored.clock + stored.step_charge;
   if (trace != nullptr) {
     trace->end("checkpoint", track,
                {obs::TraceArg::str("outcome", result.ok ? "ok" : "store-failed"),

@@ -1,5 +1,7 @@
 #include "core/userlevel.hpp"
 
+#include <stdexcept>
+
 #include "sim/userapi.hpp"
 #include "util/log.hpp"
 
@@ -7,7 +9,13 @@ namespace ckpt::core {
 
 UserLevelEngine::UserLevelEngine(std::string name, storage::StorageBackend* backend,
                                  EngineOptions options, UserConfig config)
-    : CheckpointEngine(std::move(name), backend, std::move(options)), config_(config) {}
+    : CheckpointEngine(std::move(name), backend, std::move(options)), config_(config) {
+  if (options_.streaming) {
+    throw std::invalid_argument(
+        "UserLevelEngine: streaming is not supported (the image is captured in the "
+        "process, not from a frozen COW shadow)");
+  }
+}
 
 TaxonomyPath UserLevelEngine::taxonomy() const {
   switch (config_.mode) {
@@ -154,17 +162,12 @@ void UserLevelEngine::perform_user_checkpoint(sim::SimKernel& kernel, sim::Proce
   proc.stats.syscalls += write_chunks;
   kernel.charge_time(write_chunks * kernel.costs().syscall_crossing_ns,
                      sim::ChargeKind::kSyscall);
-  auto charge = [&](SimTime t) { kernel.charge_time(t); };
-  result.image_id = state.chain.append(std::move(image), charge);
-
-  if (result.image_id == storage::kBadImageId) {
-    result.error = name_ + ": storage backend rejected the image";
-  } else {
-    result.ok = true;
-    ++state.taken;
-    if (state.tracker != nullptr) state.tracker->begin_interval(kernel, proc);
-  }
-  result.completed_at = kernel.now() + (kernel.step_charge() - charge_before);
+  const StoreOutcome stored = store_step(kernel, state, proc.pid, &proc, image, {}, {});
+  result.image_id = stored.image_id;
+  result.store_retries = stored.retries;
+  result.ok = stored.ok();
+  if (!result.ok) result.error = name_ + ": storage backend rejected the image";
+  result.completed_at = stored.clock + (stored.step_charge - charge_before);
   if (ticket != 0) {
     complete_ticket(ticket, std::move(result));
   } else {
