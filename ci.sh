@@ -54,7 +54,11 @@
 #    flat per-rank commit fails to beat at 128 ranks, any lost message,
 #    any 1-vs-8-worker divergence, or a covered rollback deeper than one
 #    checkpoint fails the build.
-# 11. docs lint: ARCHITECTURE.md and DESIGN.md must mention every src/
+# 11. sim-time drift gate: BENCH_dedup.json, BENCH_pause.json,
+#    BENCH_mpi.json and BENCH_fleet.json carry simulated-time figures only;
+#    after gates 6, 8, 9 and 10 rewrite them, any `git diff` against the
+#    committed files fails the build.
+# 12. docs lint: ARCHITECTURE.md and DESIGN.md must mention every src/
 #    module, DESIGN.md section numbering must be contiguous, and every
 #    intra-repo markdown link in the top-level docs must resolve — both
 #    the path and, for links with a #fragment, a matching heading anchor
@@ -226,6 +230,11 @@ if [ "${MPI_DEPTH}" != "1" ]; then
 fi
 MPI_MEAN="$(sed -n 's/.*"uncoordinated_commit_mean_ms": \([0-9.]*\).*/\1/p' BENCH_mpi.json | tail -1)"
 echo "mpi gate: commit mean ${MPI_MEAN} ms flat at 128 ranks, zero lost messages, covered rollback depth 1"
+
+# Sim-time drift gate: these four reports hold simulated-time figures only,
+# so a rebuilt bench must reproduce the committed file byte for byte.  Any
+# diff means a change moved a stored byte, a charge or a digest.
+git diff --exit-code -- BENCH_dedup.json BENCH_pause.json BENCH_mpi.json BENCH_fleet.json
 
 # Docs lint.
 for module in src/*/; do

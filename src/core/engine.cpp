@@ -39,6 +39,19 @@ struct ShadowReaper {
   ~ShadowReaper() { reap_now(); }
 };
 
+/// Run `attempt` until it reports success, retrying under `policy` with
+/// each backoff charged through `charge`.  Returns the retries granted.
+std::uint64_t retry_under(const storage::RetryPolicy& policy, std::uint64_t salt,
+                          const storage::ChargeFn& charge, const std::function<bool()>& attempt) {
+  storage::Retrier retrier(policy, salt);
+  while (!attempt()) {
+    const std::optional<SimTime> delay = retrier.next_delay();
+    if (!delay.has_value()) break;
+    charge(*delay);
+  }
+  return retrier.retries();
+}
+
 }  // namespace
 
 const char* to_string(ConsistencyMode mode) {
@@ -237,24 +250,16 @@ RestartResult CheckpointEngine::restart_on(sim::SimKernel& target_kernel,
     return result;
   }
   auto charge = [&](SimTime t) { target_kernel.charge_time(t); };
-  auto reconstruct = [&] {
-    return options.fall_back_to_older_images
-               ? state->chain.reconstruct_newest_surviving(charge)
-               : state->chain.reconstruct(charge);
-  };
   // Load with the same bounded retry as the store path: a restart racing a
   // transient storage outage waits it out instead of refusing.
-  auto image = reconstruct();
-  if (!image.has_value()) {
-    storage::Retrier retrier(options_.store_retry,
-                             static_cast<std::uint64_t>(original_pid) ^ 0x10AD);
-    while (!image.has_value()) {
-      const std::optional<SimTime> delay = retrier.next_delay();
-      if (!delay.has_value()) break;
-      charge(*delay);
-      image = reconstruct();
-    }
-  }
+  std::optional<storage::CheckpointImage> image;
+  retry_under(options_.store_retry, static_cast<std::uint64_t>(original_pid) ^ 0x10AD, charge,
+              [&] {
+                image = options.fall_back_to_older_images
+                            ? state->chain.reconstruct_newest_surviving(charge)
+                            : state->chain.reconstruct(charge);
+                return image.has_value();
+              });
   if (!image.has_value()) {
     result.error = name_ + ": checkpoint chain unreadable (storage lost or corrupt)";
     span.end({obs::TraceArg::str("outcome", "chain-unreadable")});
@@ -473,45 +478,19 @@ CheckpointResult CheckpointEngine::perform_kernel_checkpoint(sim::SimKernel& ker
   result.image_id = stored.image_id;
   result.store_retries = stored.retries;
   result.completed_at = stored.clock + consumed;
-
-  if (!stored.ok()) {
-    result.error = name_ + ": storage backend rejected the image";
-    if (trace != nullptr) {
-      trace->end("checkpoint", track,
-                 {obs::TraceArg::str("outcome", "store-failed"),
-                  obs::TraceArg::num("pause_ns", result.pause_ns)});
-    }
-    if (observer != nullptr) {
-      observer->metrics().add("ckpt.failed");
-      observer->metrics().add("ckpt.store_retries", result.store_retries);
-      observer->metrics().observe("ckpt.pause_ns", result.pause_ns,
-                                  obs::MetricsRegistry::latency_bounds());
-    }
-    return result;
-  }
-
-  result.ok = true;
+  result.ok = stored.ok();
+  if (!result.ok) result.error = name_ + ": storage backend rejected the image";
   if (trace != nullptr) {
     trace->end("checkpoint", track,
-               {obs::TraceArg::str("outcome", "ok"),
+               {obs::TraceArg::str("outcome", result.ok ? "ok" : "store-failed"),
                 obs::TraceArg::num("pause_ns", result.pause_ns)});
   }
   if (observer != nullptr) {
     obs::MetricsRegistry& metrics = observer->metrics();
-    metrics.add("ckpt.completed");
-    metrics.add(result.kind == storage::ImageKind::kIncremental ? "ckpt.incremental"
-                                                                : "ckpt.full");
-    metrics.add("ckpt.bytes_captured", result.payload_bytes);
+    record_outcome(metrics, result);
     metrics.add("ckpt.store_retries", result.store_retries);
-    metrics.observe("ckpt.total_latency_ns", result.completed_at - result.initiated_at,
-                    obs::MetricsRegistry::latency_bounds());
-    metrics.observe("ckpt.initiation_latency_ns", result.started_at - result.initiated_at,
-                    obs::MetricsRegistry::latency_bounds());
-    metrics.observe("ckpt.image_bytes", result.payload_bytes,
-                    obs::MetricsRegistry::size_bounds());
-    metrics.observe("ckpt.pause_ns", result.pause_ns,
-                    obs::MetricsRegistry::latency_bounds());
-    if (result.kind == storage::ImageKind::kIncremental) {
+    metrics.observe("ckpt.pause_ns", result.pause_ns, obs::MetricsRegistry::latency_bounds());
+    if (result.ok && result.kind == storage::ImageKind::kIncremental) {
       const std::uint64_t total = mapped_pages(proc);
       if (total > 0) {
         metrics.observe("ckpt.dirty_ratio_pct", result.pages * 100 / total,
@@ -519,10 +498,30 @@ CheckpointResult CheckpointEngine::perform_kernel_checkpoint(sim::SimKernel& ker
       }
     }
   }
-  util::logf(util::LogLevel::kDebug, "engine", "%s: checkpointed pid %d (%s, %llu bytes)",
-             name_.c_str(), proc.pid, to_string(result.kind),
-             static_cast<unsigned long long>(result.payload_bytes));
+  if (result.ok) {
+    util::logf(util::LogLevel::kDebug, "engine", "%s: checkpointed pid %d (%s, %llu bytes)",
+               name_.c_str(), proc.pid, to_string(result.kind),
+               static_cast<unsigned long long>(result.payload_bytes));
+  }
   return result;
+}
+
+void CheckpointEngine::record_outcome(obs::MetricsRegistry& metrics,
+                                      const CheckpointResult& result) {
+  if (!result.ok) {
+    metrics.add("ckpt.failed");
+    return;
+  }
+  metrics.add("ckpt.completed");
+  metrics.add(result.kind == storage::ImageKind::kIncremental ? "ckpt.incremental"
+                                                              : "ckpt.full");
+  metrics.add("ckpt.bytes_captured", result.payload_bytes);
+  metrics.observe("ckpt.total_latency_ns", result.completed_at - result.initiated_at,
+                  obs::MetricsRegistry::latency_bounds());
+  metrics.observe("ckpt.initiation_latency_ns", result.started_at - result.initiated_at,
+                  obs::MetricsRegistry::latency_bounds());
+  metrics.observe("ckpt.image_bytes", result.payload_bytes,
+                  obs::MetricsRegistry::size_bounds());
 }
 
 CheckpointEngine::StoreOutcome CheckpointEngine::store_step(
@@ -539,18 +538,11 @@ CheckpointEngine::StoreOutcome CheckpointEngine::store_step(
   // window) costs backoff time instead of a lost checkpoint.  A failed
   // append never advances the chain, so re-appending is safe.
   StoreOutcome out;
-  out.image_id = state.chain.append_via(image, store_fn);
-  if (!out.ok() && options_.store_retry.max_attempts > 1) {
-    storage::Retrier retrier(options_.store_retry,
-                             (static_cast<std::uint64_t>(pid) << 20) ^ state.taken);
-    while (!out.ok()) {
-      const std::optional<SimTime> delay = retrier.next_delay();
-      if (!delay.has_value()) break;
-      charge(*delay);
-      out.image_id = state.chain.append_via(image, store_fn);
-    }
-    out.retries = retrier.retries();
-  }
+  out.retries = retry_under(options_.store_retry,
+                            (static_cast<std::uint64_t>(pid) << 20) ^ state.taken, charge, [&] {
+                              out.image_id = state.chain.append_via(image, store_fn);
+                              return out.ok();
+                            });
   if (settle) settle(out);
   if (out.ok()) {
     ++state.taken;

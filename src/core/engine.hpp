@@ -31,6 +31,10 @@
 #include "storage/chain.hpp"
 #include "storage/retry.hpp"
 
+namespace ckpt::obs {
+class MetricsRegistry;
+}
+
 namespace ckpt::core {
 
 /// How a non-cooperative checkpointer keeps the image consistent while the
@@ -55,14 +59,19 @@ struct EngineOptions {
   /// Retry schedule for transient storage faults on both the store path
   /// (the backend rejected the image) and the load path (the chain did not
   /// reconstruct).  Backoff is charged through the sim clock.  The default
-  /// performs no retries — identical to the pre-retry behaviour.
+  /// performs no retries — identical to the pre-retry behaviour.  Every
+  /// engine family honours it: all of them commit through the shared
+  /// CheckpointEngine::store_step.
   storage::RetryPolicy store_retry;
   /// After each successful *full* checkpoint, prune the chain down to its
   /// fallback-keep set (CheckpointChain::live_set) and, when the backend is
   /// ChunkReclaimable (DedupStore, ReplicatedStore in dedup mode), collect
   /// unreferenced content chunks — so dropping old sequence points actually
   /// returns media bytes.  The verification loads and GC charge sim time
-  /// through the checkpointing context like every other storage access.
+  /// through the checkpointing context like every other storage access, but
+  /// after the commit point, so they never count toward total_latency.
+  /// Honoured by every engine family (kernel-mode, kernel-thread and
+  /// user-level).
   bool prune_after_full = false;
   /// Append-commit mode (the CapROS direction): when the backend is a
   /// storage::LogStructuredBackend, each successful checkpoint drains the
@@ -70,7 +79,7 @@ struct EngineOptions {
   /// land on the kernel clock *after* the commit latency was measured, so
   /// CheckpointResult::total_latency covers only the sequential log append —
   /// chunk placement in the home store happens off the critical path.
-  /// Ignored for every other backend.
+  /// Ignored for every other backend.  Honoured by every engine family.
   bool append_commit = false;
   /// Streaming commit (requires kForkAndCopy): capture pages from the
   /// frozen COW shadow, encode them in chunks and append each chunk to the
@@ -79,7 +88,9 @@ struct EngineOptions {
   /// resumes after the fork's page-table walk; the whole transfer overlaps
   /// its execution.  Requires a flat (non-dedup) ReplicatedStore backend;
   /// any other backend falls back to classic capture+store from the shadow,
-  /// which still gets the O(page-table-walk) pause.
+  /// which still gets the O(page-table-walk) pause.  Kernel-mode engines
+  /// only (perform_kernel_checkpoint: syscall and kernel-signal engines);
+  /// KernelThreadEngine and UserLevelEngine refuse it at construction.
   bool streaming = false;
   /// Page payloads per streamed chunk.  Chunking is fixed by this knob
   /// alone — never by worker count — so streamed blobs are byte-identical
@@ -240,6 +251,10 @@ class CheckpointEngine {
                           sim::Process* proc, storage::CheckpointImage& image,
                           const storage::CheckpointChain::StoreFn& stream_fn,
                           const std::function<void(const StoreOutcome&)>& settle);
+
+  /// The outcome metrics every engine family reports: ckpt.failed, or
+  /// ckpt.completed with the kind, size and latency series.
+  static void record_outcome(obs::MetricsRegistry& metrics, const CheckpointResult& result);
 
   std::uint64_t record_result(CheckpointResult result);
   std::uint64_t new_ticket();

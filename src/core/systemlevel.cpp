@@ -353,16 +353,7 @@ void KernelThreadEngine::finish_session(sim::SimKernel& kernel) {
         if (trace != nullptr) {
           trace->end("store", track, {obs::TraceArg::num("image_id", out.image_id)});
         }
-        if (session.shadow_pid != sim::kNoPid) {
-          if (sim::Process* shadow = kernel.find_process(session.shadow_pid)) {
-            kernel.terminate(*shadow, 0);
-            kernel.reap(session.shadow_pid);
-          }
-        }
-        if (options_.consistency == ConsistencyMode::kStopTarget && target != nullptr &&
-            session.was_runnable) {
-          kernel.resume_process(*target);
-        }
+        release_session(kernel, session);
         // COW activity the live shadow induced while the target kept
         // running: every write the target made to a still-shared page paid a
         // fault + page copy.
@@ -394,24 +385,26 @@ void KernelThreadEngine::finish_session(sim::SimKernel& kernel) {
     obs::MetricsRegistry& metrics = observer->metrics();
     metrics.add("ckpt.cow_faults", cow_faults);
     metrics.add("ckpt.cow_fault_ns", cow_fault_ns);
-    if (result.ok) {
-      metrics.add("ckpt.completed");
-      metrics.add(result.kind == storage::ImageKind::kIncremental ? "ckpt.incremental"
-                                                                  : "ckpt.full");
-      metrics.add("ckpt.bytes_captured", result.payload_bytes);
-      metrics.observe("ckpt.total_latency_ns", result.completed_at - result.initiated_at,
-                      obs::MetricsRegistry::latency_bounds());
-      metrics.observe("ckpt.initiation_latency_ns",
-                      result.started_at - result.initiated_at,
-                      obs::MetricsRegistry::latency_bounds());
-      metrics.observe("ckpt.image_bytes", result.payload_bytes,
-                      obs::MetricsRegistry::size_bounds());
-    } else {
-      metrics.add("ckpt.failed");
-    }
+    record_outcome(metrics, result);
   }
   complete_ticket(session.request.ticket, std::move(result));
   active_.reset();
+}
+
+void KernelThreadEngine::release_session(sim::SimKernel& kernel,
+                                         const ActiveSession& session) {
+  if (session.shadow_pid != sim::kNoPid) {
+    if (sim::Process* shadow = kernel.find_process(session.shadow_pid)) {
+      if (shadow->alive()) kernel.terminate(*shadow, 0);
+      kernel.reap(session.shadow_pid);
+    }
+  }
+  if (options_.consistency == ConsistencyMode::kStopTarget && session.was_runnable) {
+    if (sim::Process* target = kernel.find_process(session.request.target);
+        target != nullptr && target->alive() && !target->runnable()) {
+      kernel.resume_process(*target);
+    }
+  }
 }
 
 void KernelThreadEngine::abort_session(sim::SimKernel& kernel, const std::string& reason) {
@@ -419,22 +412,7 @@ void KernelThreadEngine::abort_session(sim::SimKernel& kernel, const std::string
   result.initiated_at = active_->request.initiated_at;
   result.started_at = active_->started_at;
   result.error = name_ + ": " + reason;
-  // An aborted session must release its consistency protection too: a
-  // leaked frozen shadow pins every COW frame of the snapshot forever, and
-  // a target stopped for kStopTarget would never run again.
-  if (active_->shadow_pid != sim::kNoPid) {
-    if (sim::Process* shadow = kernel.find_process(active_->shadow_pid)) {
-      if (shadow->alive()) kernel.terminate(*shadow, 0);
-      kernel.reap(active_->shadow_pid);
-    }
-    active_->shadow_pid = sim::kNoPid;
-  }
-  if (options_.consistency == ConsistencyMode::kStopTarget && active_->was_runnable) {
-    if (sim::Process* target = kernel.find_process(active_->request.target);
-        target != nullptr && target->alive() && !target->runnable()) {
-      kernel.resume_process(*target);
-    }
-  }
+  release_session(kernel, *active_);
   if (obs::Observer* observer = kernel.observer()) {
     const std::uint64_t track = static_cast<std::uint64_t>(active_->request.target);
     observer->trace().end("capture", track);

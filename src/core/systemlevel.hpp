@@ -134,6 +134,10 @@ class KernelThreadEngine final : public CheckpointEngine {
   void begin_session(sim::SimKernel& kernel, Request request);
   void finish_session(sim::SimKernel& kernel);
   void abort_session(sim::SimKernel& kernel, const std::string& reason);
+  /// Release the session's consistency protection on every exit path: reap
+  /// the frozen shadow (a leaked one pins every COW frame of the snapshot)
+  /// and resume a target stopped for kStopTarget.
+  void release_session(sim::SimKernel& kernel, const ActiveSession& session);
 
   ThreadConfig config_;
   std::string device_path_;

@@ -366,10 +366,6 @@ std::uint64_t ChunkTable::blob_crc(const ChunkKey& key) const {
   return chunks_.at(key).blob_crc;
 }
 
-std::uint64_t ChunkTable::blob_bytes(const ChunkKey& key) const {
-  return chunks_.at(key).blob.size();
-}
-
 bool ChunkTable::contains(const ChunkKey& key) const { return chunks_.contains(key); }
 
 std::vector<ChunkKey> ChunkTable::live_keys() const {
@@ -404,11 +400,14 @@ std::optional<CheckpointImage> ChunkTable::decode(std::span<const std::byte> man
     }
 
     ChunkResolver resolver(refs, fetch);
+    if (segment_count > d.remaining()) {
+      throw SerializeError("manifest: segment count exceeds remaining bytes");
+    }
     image.segments.reserve(segment_count);
     for (std::uint64_t i = 0; i < segment_count; ++i) {
       MemorySegmentImage segment;
       segment.vma = decode_image_vma(d);
-      const auto page_count = d.get<std::uint64_t>();
+      const std::uint64_t page_count = d.get_count();
       segment.pages.reserve(page_count);
       for (std::uint64_t j = 0; j < page_count; ++j) {
         PageImage page;

@@ -191,7 +191,6 @@ class ChunkTable {
   /// lacks it, and for scrub repair verification).  Throws on unknown key.
   [[nodiscard]] const std::vector<std::byte>& blob(const ChunkKey& key) const;
   [[nodiscard]] std::uint64_t blob_crc(const ChunkKey& key) const;
-  [[nodiscard]] std::uint64_t blob_bytes(const ChunkKey& key) const;
   [[nodiscard]] bool contains(const ChunkKey& key) const;
   /// Live chunk keys in deterministic (key) order — the scrub audit set.
   [[nodiscard]] std::vector<ChunkKey> live_keys() const;

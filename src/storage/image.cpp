@@ -168,7 +168,7 @@ std::uint64_t decode_image_prelude(Deserializer& d, CheckpointImage& image) {
     return t;
   });
 
-  return d.get<std::uint64_t>();
+  return d.get_count();
 }
 
 void decode_image_trailer(Deserializer& d, CheckpointImage& image) {

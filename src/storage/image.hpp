@@ -131,7 +131,8 @@ class ImageCorrupt : public std::runtime_error {
 void encode_image_prelude(util::Serializer& s, const CheckpointImage& image);
 /// Heap bounds, signals, files and ports (everything after the segments).
 void encode_image_trailer(util::Serializer& s, const CheckpointImage& image);
-/// Counterpart of encode_image_prelude; returns the segment count.
+/// Counterpart of encode_image_prelude; returns the segment count, already
+/// bounded by the bytes that remain (SerializeError otherwise).
 std::uint64_t decode_image_prelude(util::Deserializer& d, CheckpointImage& image);
 void decode_image_trailer(util::Deserializer& d, CheckpointImage& image);
 void encode_image_vma(util::Serializer& s, const sim::Vma& vma);

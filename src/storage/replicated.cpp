@@ -64,9 +64,13 @@ ReplicatedStore::ReplicatedStore(std::vector<BlobStoreBackend*> replicas,
 
 ReplicatedStore::ReplicaStage ReplicatedStore::stage_replica(
     std::size_t r, const std::vector<std::byte>& manifest, std::uint64_t manifest_crc,
-    const std::vector<ChunkKey>& missing, const ChargeFn& charge, std::uint64_t salt,
-    std::uint64_t& retries, StoreErrorKind& error, StageTraceLog* log) {
+    const std::vector<ChunkKey>& missing, std::uint64_t salt) {
   BlobStoreBackend& replica = *replicas_[r];
+  ReplicaStage stage;
+  const ChargeFn charge = [&stage](SimTime t) {
+    stage.spent += t;
+    stage.charges.push_back(t);
+  };
   // Stage + read-back verify one blob, retrying per policy.
   const auto stage_blob = [&](const std::vector<std::byte>& blob, std::uint64_t crc) {
     Retrier retrier(options_.retry, salt ^ (r + 1));
@@ -93,18 +97,17 @@ ReplicatedStore::ReplicaStage ReplicatedStore::stage_replica(
                                                  : StoreErrorKind::kMissing;
         }
       }
-      error = attempt_error;
-      if (log != nullptr) log->retry_marks.emplace_back(log->spent, attempt_error);
+      stage.error = attempt_error;
+      stage.retry_marks.emplace_back(stage.spent, attempt_error);
       const std::optional<SimTime> delay = retrier.next_delay();
       if (!delay.has_value()) return kBadImageId;
-      if (charge) charge(*delay);
-      ++retries;
+      charge(*delay);
+      ++stage.retries;
     }
   };
 
   // Chunks first (closure order), manifest last — a reader can only see the
   // manifest once every chunk it references is durable on this replica.
-  ReplicaStage stage;
   for (const ChunkKey& key : missing) {
     const ImageId id = stage_blob(table_->blob(key), table_->blob_crc(key));
     if (id == kBadImageId) break;
@@ -122,8 +125,16 @@ ReplicatedStore::ReplicaStage ReplicatedStore::stage_replica(
   return stage;
 }
 
-void ReplicatedStore::emit_stage(std::size_t r, SimTime base, const StageTraceLog& log,
-                                 const ReplicaStage& stage) {
+void ReplicatedStore::replay(const ReplicaStage& stage, const ChargeFn& charge,
+                             StoreReceipt& receipt) {
+  if (charge) {
+    for (SimTime t : stage.charges) charge(t);
+  }
+  receipt.retries += stage.retries;
+  if (stage.error != StoreErrorKind::kNone) receipt.last_error = stage.error;
+}
+
+void ReplicatedStore::emit_stage(std::size_t r, SimTime base, const ReplicaStage& stage) {
   obs::Observer* observer = options_.observer;
   if (observer == nullptr) return;
   obs::TraceRecorder& trace = observer->trace();
@@ -131,7 +142,7 @@ void ReplicatedStore::emit_stage(std::size_t r, SimTime base, const StageTraceLo
   if (table_ != nullptr) begin_args.push_back(obs::TraceArg::num("chunks", stage.chunks.size()));
   trace.begin_at(base, "replica-stage", "storage", obs::kStorageTrack, std::move(begin_args));
   std::uint64_t outages = 0;
-  for (const auto& [offset, kind] : log.retry_marks) {
+  for (const auto& [offset, kind] : stage.retry_marks) {
     if (kind == StoreErrorKind::kUnreachable) ++outages;
     trace.instant_at(base + offset, "stage-retry", "storage", obs::kStorageTrack,
                      {obs::TraceArg::num("replica", r),
@@ -141,11 +152,11 @@ void ReplicatedStore::emit_stage(std::size_t r, SimTime base, const StageTraceLo
   std::vector<obs::TraceArg> end_args{
       obs::TraceArg::num("replica", r),
       obs::TraceArg::str("outcome", verified ? "verified" : "failed"),
-      obs::TraceArg::num("retries", log.retry_marks.size())};
-  if (!verified && !log.retry_marks.empty()) {
-    end_args.push_back(obs::TraceArg::str("error", to_string(log.retry_marks.back().second)));
+      obs::TraceArg::num("retries", stage.retry_marks.size())};
+  if (!verified && !stage.retry_marks.empty()) {
+    end_args.push_back(obs::TraceArg::str("error", to_string(stage.retry_marks.back().second)));
   }
-  trace.end_at(base + log.spent, "replica-stage", obs::kStorageTrack, std::move(end_args));
+  trace.end_at(base + stage.spent, "replica-stage", obs::kStorageTrack, std::move(end_args));
   if (outages > 0) observer->metrics().add("store.replica_outages", outages);
 }
 
@@ -153,6 +164,9 @@ StoreReceipt ReplicatedStore::publish(StoreReceipt receipt, std::vector<ReplicaS
                                       const Publish& what) {
   obs::Observer* observer = options_.observer;
   const bool streamed = what.stream_chunks.has_value();
+  // Durable bytes this commit added: the image blob, or in dedup mode the
+  // manifest plus the fresh chunks.
+  const std::uint64_t committed_bytes = what.enc != nullptr ? what.enc->stored_bytes : what.bytes;
   std::map<std::size_t, ImageId> placements;
   for (std::size_t r = 0; r < stages.size(); ++r) {
     if (stages[r].manifest_id != kBadImageId) placements.emplace(r, stages[r].manifest_id);
@@ -218,7 +232,7 @@ StoreReceipt ReplicatedStore::publish(StoreReceipt receipt, std::vector<ReplicaS
   observer->trace().instant("commit", "storage", obs::kStorageTrack,
                             {obs::TraceArg::num("id", receipt.id),
                              obs::TraceArg::num("replicas", receipt.committed_replicas),
-                             obs::TraceArg::num("bytes", what.committed_bytes)});
+                             obs::TraceArg::num("bytes", committed_bytes)});
   obs::MetricsRegistry& metrics = observer->metrics();
   metrics.add("store.committed");
   if (streamed) {
@@ -226,7 +240,7 @@ StoreReceipt ReplicatedStore::publish(StoreReceipt receipt, std::vector<ReplicaS
     metrics.add("store.stream_chunks", *what.stream_chunks);
   }
   metrics.add("store.stage_retries", receipt.retries);
-  metrics.add("store.bytes_committed", what.committed_bytes);
+  metrics.add("store.bytes_committed", committed_bytes);
   if (what.enc != nullptr) {
     const ChunkTable::EncodedImage& enc = *what.enc;
     metrics.add("dedup.images");
@@ -294,48 +308,25 @@ StoreReceipt ReplicatedStore::store_verbose(const CheckpointImage& image,
     }
   }
 
-  // Stage + verify on every replica, one task per replica.  Each task
-  // ledgers its sim-time charges; the join replays them through the
-  // caller's ChargeFn in replica order and renders each replica-stage span
-  // from the ledger with explicit timestamps — so charges, events and seq
-  // order are byte-identical for any worker count.  Replica slots sharing a
-  // backend stage inline: their staging would race on one blob map.
-  struct StageOutcome {
-    ReplicaStage stage;
-    std::uint64_t retries = 0;
-    StoreErrorKind error = StoreErrorKind::kNone;
-    std::vector<SimTime> charges;
-    StageTraceLog log;
-  };
-  std::vector<StageOutcome> outcomes(replicas_.size());
+  // Stage + verify on every replica, one task per replica.  The join
+  // replays each replica's ledger through the caller's ChargeFn in replica
+  // order and renders its replica-stage span with explicit timestamps, so
+  // charges, events and seq order are byte-identical for any worker count.
+  // Replica slots sharing a backend stage inline: their staging would race
+  // on one blob map.
+  std::vector<ReplicaStage> stages(replicas_.size());
   util::parallel_for(distinct_replicas_ ? pool_ : nullptr, replicas_.size(),
                      [&](std::size_t r) {
-                       StageOutcome& out = outcomes[r];
-                       const ChargeFn ledger = [&out](SimTime t) {
-                         out.log.spent += t;
-                         out.charges.push_back(t);
-                       };
-                       out.stage = stage_replica(r, manifest, crc, missing[r], ledger, salt,
-                                                 out.retries, out.error, &out.log);
+                       stages[r] = stage_replica(r, manifest, crc, missing[r], salt);
                      });
-  std::vector<ReplicaStage> stages;
-  stages.reserve(outcomes.size());
-  for (std::size_t r = 0; r < outcomes.size(); ++r) {
-    StageOutcome& out = outcomes[r];
+  for (std::size_t r = 0; r < stages.size(); ++r) {
     const SimTime base = trace != nullptr ? trace->now() : 0;
-    if (charge) {
-      for (SimTime t : out.charges) charge(t);
-    }
-    receipt.retries += out.retries;
-    if (out.error != StoreErrorKind::kNone) receipt.last_error = out.error;
-    emit_stage(r, base, out.log, out.stage);
-    stages.push_back(std::move(out.stage));
+    replay(stages[r], charge, receipt);
+    emit_stage(r, base, stages[r]);
   }
 
-  const std::uint64_t committed_bytes = enc.has_value() ? enc->stored_bytes : blob.size();
   return publish(receipt, stages,
-                 Publish{crc, manifest.size(), committed_bytes,
-                         enc.has_value() ? &*enc : nullptr, std::nullopt});
+                 Publish{crc, manifest.size(), enc.has_value() ? &*enc : nullptr, std::nullopt});
 }
 
 ImageId ReplicatedStore::store(const CheckpointImage& image, const ChargeFn& charge) {
@@ -377,17 +368,15 @@ StoreReceipt ReplicatedStore::store_streamed(const StreamSource& source,
   // Phase 0: open one append stage per replica and land the image prelude,
   // in replica order on the caller.  The open pays the per-IO setup latency
   // once; every later append pays marginal bandwidth only.
+  // A lane with an error set has failed: it takes no further appends.
   std::vector<BlobStoreBackend::StageId> open(replica_count, BlobStoreBackend::kBadStageId);
-  std::vector<char> failed(replica_count, 0);
   std::vector<StoreErrorKind> lane_error(replica_count, StoreErrorKind::kNone);
   for (std::size_t r = 0; r < replica_count; ++r) {
     const ChargeFn opened = lane_charge(r);
     open[r] = replicas_[r]->begin_staged(opened);
     if (open[r] == BlobStoreBackend::kBadStageId) {
-      failed[r] = 1;
       lane_error[r] = StoreErrorKind::kUnreachable;
     } else if (!replicas_[r]->append_staged(open[r], source.prelude, opened)) {
-      failed[r] = 1;
       lane_error[r] = append_error(r);
     }
   }
@@ -402,8 +391,7 @@ StoreReceipt ReplicatedStore::store_streamed(const StreamSource& source,
   // replayed after the join.
   struct Lane {
     std::vector<SimTime> charges;
-    StoreErrorKind error = StoreErrorKind::kNone;
-    char failed_here = 0;
+    StoreErrorKind error = StoreErrorKind::kNone;  ///< set when the lane died here
   };
   struct ChunkOutcome {
     std::uint64_t crc = 0;
@@ -423,13 +411,12 @@ StoreReceipt ReplicatedStore::store_streamed(const StreamSource& source,
     for (std::size_t r = 0; r < replica_count; ++r) {
       while (cursor[r].load(std::memory_order_acquire) != i) {
       }
-      if (failed[r] == 0) {
+      if (lane_error[r] == StoreErrorKind::kNone) {
         Lane& lane = out.lanes[r];
         const ChargeFn ledger = [&lane](SimTime t) { lane.charges.push_back(t); };
         if (!replicas_[r]->append_staged(open[r], chunk.bytes, ledger)) {
           lane.error = append_error(r);
-          lane.failed_here = 1;
-          failed[r] = 1;
+          lane_error[r] = lane.error;
         }
       }
       cursor[r].store(i + 1, std::memory_order_release);
@@ -446,19 +433,15 @@ StoreReceipt ReplicatedStore::store_streamed(const StreamSource& source,
         lane_spent[r] += t;
         if (charge) charge(t);
       }
-      if (out.lanes[r].failed_here != 0) {
-        lane_error[r] = out.lanes[r].error;
-        receipt.last_error = out.lanes[r].error;
-      }
+      if (out.lanes[r].error != StoreErrorKind::kNone) receipt.last_error = out.lanes[r].error;
     }
   }
 
   // The trailer closes every still-healthy stage's body, again in replica
   // order on the caller.
   for (std::size_t r = 0; r < replica_count; ++r) {
-    if (failed[r] != 0) continue;
+    if (lane_error[r] != StoreErrorKind::kNone) continue;
     if (!replicas_[r]->append_staged(open[r], source.trailer, lane_charge(r))) {
-      failed[r] = 1;
       lane_error[r] = append_error(r);
       receipt.last_error = lane_error[r];
     }
@@ -512,7 +495,7 @@ StoreReceipt ReplicatedStore::store_streamed(const StreamSource& source,
   for (std::size_t r = 0; r < replica_count; ++r) {
     const ChargeFn charge_r = lane_charge(r);
     ImageId id = kBadImageId;
-    if (failed[r] == 0 && open[r] != BlobStoreBackend::kBadStageId) {
+    if (lane_error[r] == StoreErrorKind::kNone) {
       id = replicas_[r]->finish_staged(open[r], header, charge_r);
       if (id == kBadImageId) {
         lane_error[r] = append_error(r);
@@ -534,9 +517,9 @@ StoreReceipt ReplicatedStore::store_streamed(const StreamSource& source,
                        {obs::TraceArg::num("replica", r),
                         obs::TraceArg::str("error", to_string(lane_error[r]))});
       }
-      id = stage_replica(r, assemble_full(), full_crc, {}, charge_r, salt, receipt.retries,
-                         receipt.last_error, nullptr)
-               .manifest_id;
+      const ReplicaStage fallback = stage_replica(r, assemble_full(), full_crc, {}, salt);
+      replay(fallback, charge_r, receipt);
+      id = fallback.manifest_id;
       if (id == kBadImageId && receipt.last_error == StoreErrorKind::kNone) {
         receipt.last_error = lane_error[r];
       }
@@ -561,8 +544,44 @@ StoreReceipt ReplicatedStore::store_streamed(const StreamSource& source,
 
   // Phase 3: the shared quorum/rollback/publish tail.  A failed streamed
   // store leaves no trace — staged bytes died with their stages.
-  return publish(receipt, stages,
-                 Publish{full_crc, full_bytes, full_bytes, nullptr, chunk_count});
+  return publish(receipt, stages, Publish{full_crc, full_bytes, nullptr, chunk_count});
+}
+
+std::optional<CheckpointImage> ReplicatedStore::decode_copy(
+    std::size_t r, const std::vector<std::byte>& blob, const ChargeFn& charge,
+    bool chunk_failover) const {
+  if (table_ == nullptr) {
+    try {
+      return CheckpointImage::deserialize(blob);
+    } catch (const ImageCorrupt&) {
+    } catch (const util::SerializeError&) {
+    }
+    return std::nullopt;
+  }
+  // Dedup: resolve each chunk from replica r first (locality), then — with
+  // failover — from any other copy, so a chunk corrupt on one replica and
+  // healthy on another still reconstructs the image.
+  const auto fetch = [&](const ChunkKey& key, std::uint64_t expected)
+      -> std::optional<std::vector<std::byte>> {
+    const auto cp = chunk_placements_.find(key);
+    if (cp == chunk_placements_.end()) return std::nullopt;
+    const auto try_copy = [&](std::size_t rr,
+                              ImageId chunk_id) -> std::optional<std::vector<std::byte>> {
+      auto copy = replicas_[rr]->read_blob(chunk_id, charge);
+      if (copy.has_value() && util::crc64(*copy) == expected) return copy;
+      return std::nullopt;
+    };
+    if (const auto own = cp->second.find(r); own != cp->second.end()) {
+      if (auto copy = try_copy(r, own->second)) return copy;
+    }
+    if (!chunk_failover) return std::nullopt;
+    for (const auto& [rr, chunk_id] : cp->second) {
+      if (rr == r) continue;
+      if (auto copy = try_copy(rr, chunk_id)) return copy;
+    }
+    return std::nullopt;
+  };
+  return ChunkTable::decode(blob, fetch);
 }
 
 std::optional<CheckpointImage> ReplicatedStore::load(ImageId id, const ChargeFn& charge) {
@@ -576,38 +595,7 @@ std::optional<CheckpointImage> ReplicatedStore::load(ImageId id, const ChargeFn&
       const auto blob = replicas_[r]->read_blob(physical, charge);
       if (!blob.has_value()) continue;                    // unreachable or missing
       if (util::crc64(*blob) != entry.crc) continue;      // corrupt copy: fail over
-      if (table_ != nullptr) {
-        // Dedup: resolve each chunk with per-chunk cross-replica failover —
-        // the manifest's own replica first (locality), then any other copy.
-        // A chunk that is corrupt on one replica and healthy on another
-        // still reconstructs the image.
-        const auto fetch = [&, r = r](const ChunkKey& key, std::uint64_t expected)
-            -> std::optional<std::vector<std::byte>> {
-          const auto cp = chunk_placements_.find(key);
-          if (cp == chunk_placements_.end()) return std::nullopt;
-          const auto try_copy =
-              [&](std::size_t rr, ImageId chunk_id) -> std::optional<std::vector<std::byte>> {
-            auto copy = replicas_[rr]->read_blob(chunk_id, charge);
-            if (copy.has_value() && util::crc64(*copy) == expected) return copy;
-            return std::nullopt;
-          };
-          if (const auto own = cp->second.find(r); own != cp->second.end()) {
-            if (auto copy = try_copy(r, own->second)) return copy;
-          }
-          for (const auto& [rr, chunk_id] : cp->second) {
-            if (rr == r) continue;
-            if (auto copy = try_copy(rr, chunk_id)) return copy;
-          }
-          return std::nullopt;
-        };
-        if (auto image = ChunkTable::decode(*blob, fetch)) return image;
-        continue;
-      }
-      try {
-        return CheckpointImage::deserialize(*blob);
-      } catch (const ImageCorrupt&) {
-      } catch (const util::SerializeError&) {
-      }
+      if (auto image = decode_copy(r, *blob, charge, /*chunk_failover=*/true)) return image;
     }
     const std::optional<SimTime> delay = retrier.next_delay();
     if (!delay.has_value()) return std::nullopt;
@@ -623,28 +611,9 @@ std::optional<CheckpointImage> ReplicatedStore::load_from(std::size_t replica, I
   if (placement == it->second.placements.end()) return std::nullopt;
   const auto blob = replicas_[replica]->read_blob(placement->second, charge);
   if (!blob.has_value() || util::crc64(*blob) != it->second.crc) return std::nullopt;
-  if (table_ != nullptr) {
-    // Strictly this replica — no chunk failover.  The degradation ladder
-    // uses load_from to probe what *one* replica can restore by itself.
-    const auto fetch = [&](const ChunkKey& key, std::uint64_t expected)
-        -> std::optional<std::vector<std::byte>> {
-      const auto cp = chunk_placements_.find(key);
-      if (cp == chunk_placements_.end()) return std::nullopt;
-      const auto own = cp->second.find(replica);
-      if (own == cp->second.end()) return std::nullopt;
-      auto copy = replicas_[replica]->read_blob(own->second, charge);
-      if (copy.has_value() && util::crc64(*copy) == expected) return copy;
-      return std::nullopt;
-    };
-    return ChunkTable::decode(*blob, fetch);
-  }
-  try {
-    return CheckpointImage::deserialize(*blob);
-  } catch (const ImageCorrupt&) {
-    return std::nullopt;
-  } catch (const util::SerializeError&) {
-    return std::nullopt;
-  }
+  // Strictly this replica — no chunk failover.  The degradation ladder uses
+  // load_from to probe what *one* replica can restore by itself.
+  return decode_copy(replica, *blob, charge, /*chunk_failover=*/false);
 }
 
 bool ReplicatedStore::erase(ImageId id) {

@@ -29,6 +29,15 @@
 //     healthy peer.  Combined with retarget_replica() this also
 //     re-replicates history onto a replacement disk after failover.
 //
+// All three commit modes — flat, dedup and streamed — run through one core.
+// A commit is a manifest blob plus the content chunks each replica is
+// missing: a flat commit is a placement with no chunks whose "manifest" is
+// the serialized image, a dedup commit stages each replica's missing chunks
+// and then the manifest.  One per-replica stage routine (chunks first,
+// manifest last, roll back on failure) serves every mode, including the
+// streamed path's whole-blob fallback, and one publish routine applies the
+// write quorum: publish the manifest entry, or roll every stage back.
+//
 // The commit path is a *parallel pipeline* (paper §4.1's concurrent
 // kernel-thread direction, mapped onto host threads): the image is
 // serialized in per-segment shards on a worker pool, the N replica
@@ -37,7 +46,9 @@
 // fan-out.  Determinism is preserved throughout — ordered joins, per-replica
 // charge ledgers replayed in replica order, per-replica retry salt — so a
 // 1-worker and an 8-worker run produce bit-identical replica contents,
-// manifests and simulated-clock charges.
+// manifests and simulated-clock charges.  A 1-worker pool runs every
+// fan-out inline: it is the serial reference the identity tests compare
+// against.
 #pragma once
 
 #include <cstdint>
@@ -89,7 +100,8 @@ struct ReplicatedOptions {
   /// is host wall-clock only — per-replica sim-time charges are ledgered on
   /// the workers and replayed through the caller's ChargeFn in replica
   /// order, so sim cost accounting, retry jitter and every stored byte are
-  /// identical to a serial run for any worker count.
+  /// identical to a 1-worker pool for any worker count.  Staged bytes are
+  /// always read back and CRC64-verified before the commit point.
   util::ThreadPool* pool = nullptr;
   /// Observability sink (null = disabled).  Store/scrub phases emit spans on
   /// the storage track; per-replica events are recorded with explicit
@@ -187,6 +199,8 @@ class ReplicatedStore final : public StorageBackend, public ChunkReclaimable {
     std::function<StreamChunk(std::size_t)> produce;
   };
   /// Streaming two-phase store (flat mode only; throws in dedup mode).
+  /// Shares the stage routine (for fallbacks) and the quorum/rollback/
+  /// publish tail with store_verbose().
   /// Chunks are appended to a per-replica append stage *as they are
   /// produced* — capture, encode and replica fan-out overlap instead of
   /// running phase-sequential — and the manifest entry still commits last,
@@ -251,45 +265,50 @@ class ReplicatedStore final : public StorageBackend, public ChunkReclaimable {
     std::vector<ChunkKey> chunks;
   };
 
-  /// Per-replica trace ledger: cumulative sim-time charged through the
-  /// (wrapped) ChargeFn plus retry marks at their relative offsets.  The
-  /// caller turns it into span events with explicit timestamps after the
-  /// charges have been replayed, which is what keeps traces invariant under
-  /// CKPT_WORKERS.
-  struct StageTraceLog {
-    SimTime spent = 0;
-    std::vector<std::pair<SimTime, StoreErrorKind>> retry_marks;
-  };
-
   /// One replica's staged share of a commit: the verified manifest blob
-  /// (flat mode: the serialized image itself) and the content chunks newly
-  /// staged under it (always empty in flat mode).
+  /// (flat mode: the serialized image itself), the content chunks newly
+  /// staged under it (always empty in flat mode), and the ledger of what the
+  /// staging charged.  The caller replays `charges` through its ChargeFn in
+  /// replica order and renders the replica-stage span from `spent` and the
+  /// retry marks — identically whether staging ran inline or on a worker,
+  /// which is what keeps charges and traces invariant under CKPT_WORKERS.
   struct ReplicaStage {
     ImageId manifest_id = kBadImageId;
     std::vector<std::pair<ChunkKey, ImageId>> chunks;
+    std::uint64_t retries = 0;
+    StoreErrorKind error = StoreErrorKind::kNone;  ///< last failed attempt's error
+    std::vector<SimTime> charges;
+    SimTime spent = 0;
+    std::vector<std::pair<SimTime, StoreErrorKind>> retry_marks;  ///< (offset, error)
   };
 
   /// The one per-replica stage routine every commit mode uses: writes the
   /// chunks replica `r` is missing (closure order), then the manifest, each
   /// staged and read-back verified under the retry policy.  Any failure
   /// rolls this replica's newly staged blobs back (manifest_id stays
-  /// kBadImageId).  `log` (may be null) must be the object the caller's
-  /// charge wrapper feeds.
+  /// kBadImageId).  Touches only replica `r` and charges only its ledger,
+  /// so stages of distinct replicas may run concurrently.
   ReplicaStage stage_replica(std::size_t r, const std::vector<std::byte>& manifest,
                              std::uint64_t manifest_crc, const std::vector<ChunkKey>& missing,
-                             const ChargeFn& charge, std::uint64_t salt,
-                             std::uint64_t& retries, StoreErrorKind& error,
-                             StageTraceLog* log);
+                             std::uint64_t salt);
+
+  /// Replay one stage's ledger through `charge` and fold its retries and
+  /// error into `receipt`.
+  static void replay(const ReplicaStage& stage, const ChargeFn& charge, StoreReceipt& receipt);
 
   /// Render one replica-stage span from its replayed ledger.
-  void emit_stage(std::size_t r, SimTime base, const StageTraceLog& log,
-                  const ReplicaStage& stage);
+  void emit_stage(std::size_t r, SimTime base, const ReplicaStage& stage);
+
+  /// Decode one replica's CRC-verified copy of a committed entry.  Dedup
+  /// chunks come from replica `r` first and, with `chunk_failover`, from
+  /// any other replica holding a verified copy.
+  std::optional<CheckpointImage> decode_copy(std::size_t r, const std::vector<std::byte>& blob,
+                                             const ChargeFn& charge, bool chunk_failover) const;
 
   /// What a commit publishes once its replicas are staged.
   struct Publish {
-    std::uint64_t crc = 0;              ///< manifest blob CRC (the certificate)
-    std::uint64_t bytes = 0;            ///< manifest blob size
-    std::uint64_t committed_bytes = 0;  ///< durable bytes this commit added
+    std::uint64_t crc = 0;                     ///< manifest blob CRC (the certificate)
+    std::uint64_t bytes = 0;                   ///< manifest blob size
     ChunkTable::EncodedImage* enc = nullptr;   ///< dedup commits only
     std::optional<std::size_t> stream_chunks;  ///< streamed commits only
   };

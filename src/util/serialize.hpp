@@ -169,12 +169,20 @@ class Deserializer {
     return out;
   }
 
-  template <typename T, typename Fn>
-  std::vector<T> get_vector(Fn&& decode_one) {
+  /// An item-count prefix.  Every item takes at least one byte, so a count
+  /// the remaining bytes cannot hold is rejected here — before any caller
+  /// reserves storage for it.
+  std::uint64_t get_count() {
     const auto n = get<std::uint64_t>();
     if (n > remaining()) {
-      throw SerializeError("vector length prefix exceeds remaining bytes");
+      throw SerializeError("count prefix exceeds remaining bytes");
     }
+    return n;
+  }
+
+  template <typename T, typename Fn>
+  std::vector<T> get_vector(Fn&& decode_one) {
+    const std::uint64_t n = get_count();
     std::vector<T> out;
     out.reserve(static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < n; ++i) out.push_back(decode_one(*this));
@@ -186,7 +194,8 @@ class Deserializer {
 
  private:
   void require(std::size_t n) const {
-    if (pos_ + n > data_.size()) {
+    // pos_ <= size() always holds, so this cannot wrap (pos_ + n could).
+    if (n > data_.size() - pos_) {
       throw SerializeError("deserializer underrun");
     }
   }

@@ -17,6 +17,7 @@
 #include "storage/image.hpp"
 #include "storage/replicated.hpp"
 #include "util/crc64.hpp"
+#include "util/serialize.hpp"
 #include "util/threadpool.hpp"
 
 namespace ckpt::storage {
@@ -91,6 +92,46 @@ class DedupTest : public ::testing::Test {
 };
 
 // --- Round-trip fidelity -----------------------------------------------------
+
+// --- Hostile manifests -------------------------------------------------------
+
+/// Overwrite the little-endian u64 at `at` and recompute the manifest's
+/// envelope CRC (u32 version | u64 crc | body), so only the decoder objects.
+void patch_and_reseal(std::vector<std::byte>& manifest, std::size_t at, std::uint64_t value) {
+  const auto put = [&](std::size_t pos, std::uint64_t v) {
+    for (std::size_t i = 0; i < sizeof(v); ++i) {
+      manifest[pos + i] = static_cast<std::byte>((v >> (8 * i)) & 0xFF);
+    }
+  };
+  put(at, value);
+  constexpr std::size_t kHeader = sizeof(std::uint32_t) + sizeof(std::uint64_t);
+  put(sizeof(std::uint32_t),
+      util::crc64(std::span<const std::byte>(manifest).subspan(kHeader)));
+}
+
+TEST_F(DedupTest, HostileSegmentAndPageCountsDecodeToNullopt) {
+  // One segment with no pages: the manifest body ends in that segment's
+  // page count, and the prelude (shared with the flat codec) ends in the
+  // segment count.
+  ChunkTable table{DedupOptions{}};
+  const CheckpointImage image = make_image(1, {});
+  const ChunkTable::EncodedImage enc = table.encode(image);
+  const auto no_chunks = [](const ChunkKey&, std::uint64_t)
+      -> std::optional<std::vector<std::byte>> { return std::nullopt; };
+  ASSERT_TRUE(ChunkTable::decode(enc.manifest, no_chunks).has_value());
+
+  util::Serializer prelude;
+  encode_image_prelude(prelude, image);
+  constexpr std::size_t kHeader = sizeof(std::uint32_t) + sizeof(std::uint64_t);
+  std::vector<std::byte> segments = enc.manifest;
+  patch_and_reseal(segments, kHeader + prelude.bytes().size() - sizeof(std::uint64_t),
+                   std::uint64_t{1} << 62);
+  EXPECT_FALSE(ChunkTable::decode(segments, no_chunks).has_value());
+
+  std::vector<std::byte> pages = enc.manifest;
+  patch_and_reseal(pages, pages.size() - sizeof(std::uint64_t), std::uint64_t{1} << 62);
+  EXPECT_FALSE(ChunkTable::decode(pages, no_chunks).has_value());
+}
 
 TEST_F(DedupTest, RoundTripIsBitIdenticalToFlatSerialization) {
   DedupStore store(&media_);

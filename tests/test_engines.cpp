@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/capture.hpp"
 #include "core/systemlevel.hpp"
 #include "core/userlevel.hpp"
+#include "obs/observer.hpp"
 #include "sim/userapi.hpp"
+#include "storage/replicated.hpp"
 #include "test_common.hpp"
 
 namespace ckpt::core {
@@ -507,6 +511,88 @@ TEST_F(SyscallEngineTest, FullEveryBoundsChainLength) {
   EXPECT_EQ(kinds[3], storage::ImageKind::kFull);
   EXPECT_EQ(kinds[6], storage::ImageKind::kFull);
 }
+
+// ---------------------------------------------------------------------------
+// The shared store step: every engine family honours the commit options
+// ---------------------------------------------------------------------------
+
+/// One engine family under test, checkpointing one CounterGuest on demand.
+enum class Family { kKernelThread, kUserLevel };
+
+class StoreStepTest : public SimTest, public ::testing::WithParamInterface<Family> {
+ protected:
+  std::unique_ptr<CheckpointEngine> make_engine(storage::StorageBackend* backend,
+                                                EngineOptions options) {
+    if (GetParam() == Family::kKernelThread) {
+      return std::make_unique<KernelThreadEngine>("kt", backend, std::move(options), kernel_,
+                                                  KernelThreadEngine::ThreadConfig{},
+                                                  &kernel_.load_module("kt"));
+    }
+    UserLevelEngine::UserConfig config;
+    config.mode = UserLevelEngine::Mode::kSignalHandler;
+    return std::make_unique<UserLevelEngine>("libckpt", backend, std::move(options), config);
+  }
+
+  obs::Observer observer_;  // declared first: outlives the kernel bound to it
+  sim::SimKernel kernel_;
+};
+
+TEST_P(StoreStepTest, StoreRetrySurvivesOneShotRejection) {
+  storage::LocalDiskBackend backend{sim::CostModel{}};
+  EngineOptions options;
+  options.store_retry.max_attempts = 3;
+  auto engine = make_engine(&backend, options);
+  const sim::Pid pid = kernel_.spawn(sim::CounterGuest::kTypeName);
+  ASSERT_TRUE(engine->attach(kernel_, pid));
+  run_steps(kernel_, pid, 3);
+
+  backend.inject_store_fault(storage::StoreFault::kReject);
+  const CheckpointResult result = engine->request_checkpoint(kernel_, pid);
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(result.store_retries, 1u);
+  EXPECT_EQ(backend.list().size(), 1u);
+  EXPECT_EQ(engine->checkpoints_taken(pid), 1u);
+}
+
+TEST_P(StoreStepTest, PruneAfterFullBoundsTheChainAndCollectsChunks) {
+  sim::CostModel costs;
+  storage::RemoteBackend replica_a{costs};
+  storage::RemoteBackend replica_b{costs};
+  storage::ReplicatedOptions store_options;
+  store_options.dedup = true;
+  storage::ReplicatedStore store({&replica_a, &replica_b}, store_options);
+  kernel_.set_observer(&observer_);
+
+  EngineOptions options;
+  options.prune_after_full = true;
+  auto engine = make_engine(&store, options);
+  const sim::Pid pid = kernel_.spawn(sim::CounterGuest::kTypeName);
+  ASSERT_TRUE(engine->attach(kernel_, pid));
+  for (int i = 0; i < 6; ++i) {
+    run_steps(kernel_, pid, kernel_.process(pid).stats.guest_iterations + 3);
+    const CheckpointResult result = engine->request_checkpoint(kernel_, pid);
+    ASSERT_TRUE(result.ok) << result.error;
+    EXPECT_LE(engine->chain_of(pid)->length(), 2u) << "checkpoint " << i;
+  }
+  EXPECT_EQ(store.list().size(), engine->chain_of(pid)->length());
+  EXPECT_GT(observer_.metrics().counter("gc.bytes_freed"), 0u);
+  EXPECT_GT(observer_.metrics().counter("gc.runs"), 0u);
+}
+
+TEST_P(StoreStepTest, StreamingIsRefusedUpFront) {
+  storage::LocalDiskBackend backend{sim::CostModel{}};
+  EngineOptions options;
+  options.consistency = ConsistencyMode::kForkAndCopy;
+  options.streaming = true;
+  EXPECT_THROW(make_engine(&backend, options), std::invalid_argument);
+}
+
+INSTANTIATE_TEST_SUITE_P(Families, StoreStepTest,
+                         ::testing::Values(Family::kKernelThread, Family::kUserLevel),
+                         [](const auto& info) {
+                           return info.param == Family::kKernelThread ? "kthread"
+                                                                      : "userlevel";
+                         });
 
 }  // namespace
 }  // namespace ckpt::core

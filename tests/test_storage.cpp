@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstring>
+
 #include "storage/backend.hpp"
 #include "storage/chain.hpp"
 #include "storage/image.hpp"
+#include "storage/replicated.hpp"
+#include "util/crc64.hpp"
+#include "util/serialize.hpp"
 
 namespace ckpt::storage {
 namespace {
@@ -66,6 +73,99 @@ TEST(Image, TruncationDetected) {
   auto bytes = make_image(1).serialize();
   bytes.resize(bytes.size() / 2);
   EXPECT_THROW(CheckpointImage::deserialize(bytes), ImageCorrupt);
+}
+
+// --- Hostile length prefixes --------------------------------------------------
+//
+// Each blob below carries a valid CRC64 envelope around a body whose length
+// or count prefix lies.  The decoder must reject it with its typed error,
+// which every load path turns into nullopt — never std::length_error or an
+// out-of-bounds read.
+
+constexpr std::size_t kEnvelopeHeader = sizeof(std::uint32_t) + sizeof(std::uint64_t);
+
+void put_u64_le(std::vector<std::byte>& bytes, std::size_t at, std::uint64_t value) {
+  for (std::size_t i = 0; i < sizeof(value); ++i) {
+    bytes[at + i] = static_cast<std::byte>((value >> (8 * i)) & 0xFF);
+  }
+}
+
+/// Recompute the envelope CRC over the (patched) body.
+void reseal(std::vector<std::byte>& blob) {
+  const std::span<const std::byte> body = std::span<const std::byte>(blob).subspan(kEnvelopeHeader);
+  put_u64_le(blob, sizeof(std::uint32_t), util::crc64(body));
+}
+
+std::size_t prelude_size(const CheckpointImage& image) {
+  util::Serializer prelude;
+  encode_image_prelude(prelude, image);
+  return prelude.bytes().size();
+}
+
+/// A serialized image whose segment count (the prelude's last field) lies.
+std::vector<std::byte> hostile_segment_count(std::uint64_t count) {
+  const CheckpointImage image = make_image(5);
+  std::vector<std::byte> blob = image.serialize();
+  put_u64_le(blob, kEnvelopeHeader + prelude_size(image) - sizeof(std::uint64_t), count);
+  reseal(blob);
+  return blob;
+}
+
+/// A serialized image whose process-name length is near 2^64.
+std::vector<std::byte> hostile_string_length() {
+  std::vector<std::byte> blob = make_image(5).serialize();
+  // The name is the first length-prefixed string: u64 length 3, then "app".
+  std::vector<std::byte> needle(sizeof(std::uint64_t) + 3);
+  put_u64_le(needle, 0, 3);
+  std::memcpy(needle.data() + sizeof(std::uint64_t), "app", 3);
+  const auto at = std::search(blob.begin(), blob.end(), needle.begin(), needle.end());
+  put_u64_le(blob, static_cast<std::size_t>(at - blob.begin()), ~std::uint64_t{0} - 2);
+  reseal(blob);
+  return blob;
+}
+
+/// Commit `blob`'s body verbatim through a streamed store (the store seals
+/// whatever body it is handed), so the hostile bytes sit under a valid
+/// manifest CRC and only the decoder stands between them and the caller.
+ImageId commit_raw_body(ReplicatedStore& store, const std::vector<std::byte>& blob) {
+  ReplicatedStore::StreamSource source;
+  source.prelude.assign(blob.begin() + kEnvelopeHeader, blob.end());
+  return store.store_streamed(source, nullptr).id;
+}
+
+TEST(HostileBlob, SegmentCountBeyondTheBodyIsRejected) {
+  const std::vector<std::byte> blob = hostile_segment_count(std::uint64_t{1} << 62);
+  EXPECT_THROW(CheckpointImage::deserialize(blob), util::SerializeError);
+
+  const sim::CostModel costs;
+  LocalDiskBackend disk{costs};
+  const ImageId raw = disk.put_raw(blob, nullptr);
+  ASSERT_NE(raw, kBadImageId);
+  EXPECT_FALSE(disk.load(raw, nullptr).has_value());
+
+  RemoteBackend remote{costs};
+  ReplicatedStore store({&remote}, {});
+  const ImageId committed = commit_raw_body(store, blob);
+  ASSERT_NE(committed, kBadImageId);
+  EXPECT_FALSE(store.load(committed, nullptr).has_value());
+  EXPECT_FALSE(store.load_from(0, committed, nullptr).has_value());
+}
+
+TEST(HostileBlob, WrappingStringLengthIsRejected) {
+  const std::vector<std::byte> blob = hostile_string_length();
+  EXPECT_THROW(CheckpointImage::deserialize(blob), util::SerializeError);
+
+  const sim::CostModel costs;
+  LocalDiskBackend disk{costs};
+  const ImageId raw = disk.put_raw(blob, nullptr);
+  ASSERT_NE(raw, kBadImageId);
+  EXPECT_FALSE(disk.load(raw, nullptr).has_value());
+
+  RemoteBackend remote{costs};
+  ReplicatedStore store({&remote}, {});
+  const ImageId committed = commit_raw_body(store, blob);
+  ASSERT_NE(committed, kBadImageId);
+  EXPECT_FALSE(store.load(committed, nullptr).has_value());
 }
 
 TEST(Image, PayloadAccounting) {

@@ -166,6 +166,32 @@ TEST(Serializer, BogusLengthPrefixThrows) {
       SerializeError);
 }
 
+TEST(Serializer, WrappingLengthPrefixThrows) {
+  // A byte-string length near 2^64 must not wrap the bounds check into
+  // "fits" and hand get_bytes a range past the buffer.
+  Serializer s;
+  s.put<std::uint32_t>(7);
+  s.put<std::uint64_t>(~std::uint64_t{0} - 2);
+  s.put<std::uint32_t>(9);
+  Deserializer d(s.bytes());
+  EXPECT_EQ(d.get<std::uint32_t>(), 7u);
+  EXPECT_THROW(d.get_bytes(), SerializeError);
+}
+
+TEST(Serializer, CountPrefixIsBoundedByRemainingBytes) {
+  Serializer s;
+  s.put<std::uint64_t>(3);
+  s.put<std::uint8_t>(1);
+  s.put<std::uint8_t>(2);
+  s.put<std::uint8_t>(3);
+  s.put<std::uint64_t>(2);  // claims two items, only one byte follows
+  s.put<std::uint8_t>(4);
+  Deserializer d(s.bytes());
+  EXPECT_EQ(d.get_count(), 3u);
+  d.get_raw(3);
+  EXPECT_THROW(d.get_count(), SerializeError);
+}
+
 TEST(Serializer, SizeCounterPredictsExactOutputSize) {
   auto encode = [](auto& s) {
     s.template put<std::uint8_t>(7);
