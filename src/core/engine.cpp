@@ -305,16 +305,8 @@ CheckpointResult CheckpointEngine::perform_kernel_checkpoint(sim::SimKernel& ker
   }
 
   ProcState& state = state_for(proc.pid);
-
-  // Decide full vs incremental.
-  const bool take_delta = options_.incremental && state.tracker != nullptr &&
-                          state.taken > 0 &&
-                          (options_.full_every == 0 || state.taken % options_.full_every != 0);
-
-  CaptureOptions capture = options_.capture;
-  if (take_delta) {
-    capture.ranges = state.tracker->collect(kernel, proc);
-  }
+  const CapturePlan next = plan_capture(kernel, proc, state);
+  const CaptureOptions& capture = next.options;
 
   // Consistency.
   sim::Process* capture_target = &proc;
@@ -377,7 +369,11 @@ CheckpointResult CheckpointEngine::perform_kernel_checkpoint(sim::SimKernel& ker
     // each segment's lead chunk carries its VMA header and page count.
     const std::size_t seg_count = image.segments.size();
     seg_entries.resize(seg_count);
-    for (const auto& [seg_idx, range] : plan) seg_entries[seg_idx].push_back(range);
+    for (const auto& [seg_idx, range] : plan) {
+      seg_entries[seg_idx].push_back(range);
+      result.payload_bytes += std::min<std::uint32_t>(range.length, sim::kPageSize - range.offset);
+    }
+    result.pages = plan.size();
     for (std::size_t s = 0; s < seg_count; ++s) {
       const std::size_t entries = seg_entries[s].size();
       std::size_t first = 0;
@@ -390,10 +386,6 @@ CheckpointResult CheckpointEngine::perform_kernel_checkpoint(sim::SimKernel& ker
         first += take;
       } while (first < entries);
     }
-    for (const auto& [seg_idx, range] : plan) {
-      result.payload_bytes += std::min<std::uint32_t>(range.length, sim::kPageSize - range.offset);
-    }
-    result.pages = plan.size();
 
     const auto produce = [&](std::size_t i) {
       const StreamPiece& piece = pieces[i];
@@ -440,7 +432,7 @@ CheckpointResult CheckpointEngine::perform_kernel_checkpoint(sim::SimKernel& ker
   image.pid = proc.pid;
   image.process_name = proc.name;
   image.guest = proc.guest_image;
-  image.kind = take_delta ? storage::ImageKind::kIncremental : storage::ImageKind::kFull;
+  image.kind = next.kind;
   result.kind = image.kind;
   if (trace != nullptr) {
     trace->end("capture", track,
@@ -522,6 +514,18 @@ void CheckpointEngine::record_outcome(obs::MetricsRegistry& metrics,
                   obs::MetricsRegistry::latency_bounds());
   metrics.observe("ckpt.image_bytes", result.payload_bytes,
                   obs::MetricsRegistry::size_bounds());
+}
+
+CheckpointEngine::CapturePlan CheckpointEngine::plan_capture(sim::SimKernel& kernel,
+                                                             sim::Process& proc,
+                                                             ProcState& state) {
+  CapturePlan plan{options_.capture};
+  if (options_.incremental && state.tracker != nullptr && state.taken > 0 &&
+      (options_.full_every == 0 || state.taken % options_.full_every != 0)) {
+    plan.kind = storage::ImageKind::kIncremental;
+    plan.options.ranges = state.tracker->collect(kernel, proc);
+  }
+  return plan;
 }
 
 CheckpointEngine::StoreOutcome CheckpointEngine::store_step(

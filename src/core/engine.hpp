@@ -221,6 +221,16 @@ class CheckpointEngine {
   CheckpointResult perform_kernel_checkpoint(sim::SimKernel& kernel, sim::Process& proc,
                                              SimTime initiated_at);
 
+  /// The next image's kind and capture options under the full-vs-delta
+  /// policy every family shares: a delta is due when incremental tracking
+  /// is on, a full image exists and full_every does not force a full one,
+  /// and it captures only the ranges the tracker collects from `proc`.
+  struct CapturePlan {
+    CaptureOptions options;
+    storage::ImageKind kind = storage::ImageKind::kFull;
+  };
+  CapturePlan plan_capture(sim::SimKernel& kernel, sim::Process& proc, ProcState& state);
+
   /// What store_step() did with one captured image.
   struct StoreOutcome {
     storage::ImageId image_id = storage::kBadImageId;

@@ -282,15 +282,8 @@ void KernelThreadEngine::begin_session(sim::SimKernel& kernel, Request request) 
                   obs::TraceArg::num("pid", track)});
   }
 
-  ProcState& state = state_for(target->pid);
-  session.take_delta = options_.incremental && state.tracker != nullptr &&
-                       state.taken > 0 &&
-                       (options_.full_every == 0 ||
-                        state.taken % options_.full_every != 0);
-  CaptureOptions capture = options_.capture;
-  if (session.take_delta) {
-    capture.ranges = state.tracker->collect(kernel, *target);
-  }
+  const CapturePlan next = plan_capture(kernel, *target, state_for(target->pid));
+  session.kind = next.kind;
 
   sim::Process* source = target;
   {
@@ -311,7 +304,7 @@ void KernelThreadEngine::begin_session(sim::SimKernel& kernel, Request request) 
   // The capture span stays open across quanta; finish/abort closes it.
   if (trace != nullptr) trace->begin("capture", "ckpt", track);
 
-  session.capture = std::make_unique<PagedCaptureSession>(kernel, *source, capture);
+  session.capture = std::make_unique<PagedCaptureSession>(kernel, *source, next.options);
   active_ = std::move(session);
 }
 
@@ -325,8 +318,7 @@ void KernelThreadEngine::finish_session(sim::SimKernel& kernel) {
     image.process_name = target->name;
     image.guest = target->guest_image;
   }
-  image.kind =
-      session.take_delta ? storage::ImageKind::kIncremental : storage::ImageKind::kFull;
+  image.kind = session.kind;
 
   CheckpointResult result;
   result.initiated_at = session.request.initiated_at;

@@ -122,7 +122,7 @@ class KernelThreadEngine final : public CheckpointEngine {
     std::unique_ptr<PagedCaptureSession> capture;
     sim::Pid shadow_pid = sim::kNoPid;
     bool was_runnable = true;
-    bool take_delta = false;
+    storage::ImageKind kind = storage::ImageKind::kFull;
     SimTime started_at = 0;
     /// Target's cumulative COW-fault count when the shadow was forked; the
     /// delta at finish is the COW activity this checkpoint induced.

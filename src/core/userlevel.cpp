@@ -138,19 +138,10 @@ void UserLevelEngine::perform_user_checkpoint(sim::SimKernel& kernel, sim::Proce
   }
 
   ProcState& state = state_for(proc.pid);
-  const bool take_delta = options_.incremental && state.tracker != nullptr &&
-                          state.taken > 0 &&
-                          (options_.full_every == 0 ||
-                           state.taken % options_.full_every != 0);
-  CaptureOptions capture = options_.capture;
-  if (take_delta) {
-    capture.ranges = state.tracker->collect(kernel, proc);
-  }
-
+  const CapturePlan next = plan_capture(kernel, proc, state);
   sim::UserApi api(kernel, proc);
-  storage::CheckpointImage image = rit->second->capture(api, capture);
-  image.kind =
-      take_delta ? storage::ImageKind::kIncremental : storage::ImageKind::kFull;
+  storage::CheckpointImage image = rit->second->capture(api, next.options);
+  image.kind = next.kind;
 
   result.kind = image.kind;
   result.payload_bytes = image.payload_bytes();

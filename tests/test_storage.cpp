@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <cstring>
 
 #include "storage/backend.hpp"
@@ -119,6 +118,10 @@ std::vector<std::byte> hostile_string_length() {
   put_u64_le(needle, 0, 3);
   std::memcpy(needle.data() + sizeof(std::uint64_t), "app", 3);
   const auto at = std::search(blob.begin(), blob.end(), needle.begin(), needle.end());
+  if (at == blob.end()) {
+    ADD_FAILURE() << "process-name length prefix not found";
+    return blob;
+  }
   put_u64_le(blob, static_cast<std::size_t>(at - blob.begin()), ~std::uint64_t{0} - 2);
   reseal(blob);
   return blob;
