@@ -449,29 +449,26 @@ CheckpointResult CheckpointEngine::perform_kernel_checkpoint(sim::SimKernel& ker
   // The clock freezes inside a scheduling step; the checkpoint's duration
   // is the time charged against the executing context up to the release.
   SimTime consumed = 0;
-  const StoreOutcome stored =
-      store_step(kernel, state, proc.pid, &proc, image, stream_fn, [&](const StoreOutcome& out) {
-        if (trace != nullptr) {
-          std::vector<obs::TraceArg> args{obs::TraceArg::num("image_id", out.image_id),
-                                          obs::TraceArg::num("retries", out.retries)};
-          if (streamed) args.push_back(obs::TraceArg::num("chunks", pieces.size()));
-          trace->end("store", track, std::move(args));
-        }
-        // Reap the shadow here on the normal paths (the ShadowReaper
-        // backstops early returns and exceptions, so no exit can leak it).
-        shadow.reap_now();
-        if (options_.consistency == ConsistencyMode::kStopTarget) {
-          // Stop-the-world pays for everything between stop and resume.
-          result.pause_ns = kernel.effective_now() - pause_origin;
-          if (was_runnable) kernel.resume_process(proc);
-        }
-        consumed = kernel.step_charge() - charge_before;
-      });
-  result.image_id = stored.image_id;
-  result.store_retries = stored.retries;
-  result.completed_at = stored.clock + consumed;
-  result.ok = stored.ok();
-  if (!result.ok) result.error = name_ + ": storage backend rejected the image";
+  const auto settle = [&] {
+    if (trace != nullptr) {
+      std::vector<obs::TraceArg> args{obs::TraceArg::num("image_id", result.image_id),
+                                      obs::TraceArg::num("retries", result.store_retries)};
+      if (streamed) args.push_back(obs::TraceArg::num("chunks", pieces.size()));
+      trace->end("store", track, std::move(args));
+    }
+    // Reap the shadow here on the normal paths (the ShadowReaper backstops
+    // early returns and exceptions, so no exit can leak it).
+    shadow.reap_now();
+    if (options_.consistency == ConsistencyMode::kStopTarget) {
+      // Stop-the-world pays for everything between stop and resume.
+      result.pause_ns = kernel.effective_now() - pause_origin;
+      if (was_runnable) kernel.resume_process(proc);
+    }
+    consumed = kernel.step_charge() - charge_before;
+  };
+  const CommitPoint committed =
+      store_step(kernel, state, proc.pid, &proc, std::move(image), stream_fn, result, settle);
+  result.completed_at = committed.clock + consumed;
   if (trace != nullptr) {
     trace->end("checkpoint", track,
                {obs::TraceArg::str("outcome", result.ok ? "ok" : "store-failed"),
@@ -528,10 +525,10 @@ CheckpointEngine::CapturePlan CheckpointEngine::plan_capture(sim::SimKernel& ker
   return plan;
 }
 
-CheckpointEngine::StoreOutcome CheckpointEngine::store_step(
+CheckpointEngine::CommitPoint CheckpointEngine::store_step(
     sim::SimKernel& kernel, ProcState& state, sim::Pid pid, sim::Process* proc,
-    storage::CheckpointImage& image, const storage::CheckpointChain::StoreFn& stream_fn,
-    const std::function<void(const StoreOutcome&)>& settle) {
+    storage::CheckpointImage&& image, const storage::CheckpointChain::StoreFn& stream_fn,
+    CheckpointResult& result, const std::function<void()>& settle) {
   auto charge = [&](SimTime t) { kernel.charge_time(t); };
   const storage::CheckpointChain::StoreFn classic = [&](const storage::CheckpointImage& img) {
     return backend_->store(img, charge);
@@ -541,20 +538,23 @@ CheckpointEngine::StoreOutcome CheckpointEngine::store_step(
   // Store with bounded retry: a transient StoreFault (rejection, outage
   // window) costs backoff time instead of a lost checkpoint.  A failed
   // append never advances the chain, so re-appending is safe.
-  StoreOutcome out;
-  out.retries = retry_under(options_.store_retry,
-                            (static_cast<std::uint64_t>(pid) << 20) ^ state.taken, charge, [&] {
-                              out.image_id = state.chain.append_via(image, store_fn);
-                              return out.ok();
-                            });
-  if (settle) settle(out);
-  if (out.ok()) {
+  result.store_retries =
+      retry_under(options_.store_retry, (static_cast<std::uint64_t>(pid) << 20) ^ state.taken,
+                  charge, [&] {
+                    result.image_id = state.chain.append_via(image, store_fn);
+                    return result.image_id != storage::kBadImageId;
+                  });
+  result.ok = result.image_id != storage::kBadImageId;
+  if (!result.ok) result.error = name_ + ": storage backend rejected the image";
+  const storage::ImageKind kind = image.kind;
+  image = storage::CheckpointImage{};
+  if (settle) settle();
+  if (result.ok) {
     ++state.taken;
     if (state.tracker != nullptr && proc != nullptr) state.tracker->begin_interval(kernel, *proc);
   }
-  out.clock = kernel.now();
-  out.step_charge = kernel.step_charge();
-  if (!out.ok()) return out;
+  const CommitPoint committed{kernel.now(), kernel.step_charge()};
+  if (!result.ok) return committed;
 
   obs::Observer* observer = kernel.observer();
   obs::TraceRecorder* trace = obs::tracer(observer);
@@ -562,7 +562,7 @@ CheckpointEngine::StoreOutcome CheckpointEngine::store_step(
   // A fresh full image is the one moment pruning can pay off: everything
   // before the newest verified full image leaves the fallback-keep set, and
   // chunk GC can then return the bytes only those images referenced.
-  if (options_.prune_after_full && image.kind == storage::ImageKind::kFull &&
+  if (options_.prune_after_full && kind == storage::ImageKind::kFull &&
       state.chain.length() > 1) {
     obs::SpanGuard prune_span(trace, "prune", "ckpt", track);
     const std::size_t before = state.chain.length();
@@ -600,7 +600,7 @@ CheckpointEngine::StoreOutcome CheckpointEngine::store_step(
                       obs::TraceArg::num("reclaimed", drained.segments_reclaimed)});
     }
   }
-  return out;
+  return committed;
 }
 
 std::uint64_t CheckpointEngine::record_result(CheckpointResult result) {

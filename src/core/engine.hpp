@@ -231,24 +231,21 @@ class CheckpointEngine {
   };
   CapturePlan plan_capture(sim::SimKernel& kernel, sim::Process& proc, ProcState& state);
 
-  /// What store_step() did with one captured image.
-  struct StoreOutcome {
-    storage::ImageId image_id = storage::kBadImageId;
-    std::uint64_t retries = 0;  ///< store retries the RetryPolicy granted
-    /// Kernel clock and in-step charge at the commit point: after the
-    /// tracking interval restarted, before prune/GC and the journal drain —
-    /// where every family's total_latency() closes.
+  /// Kernel clock and in-step charge at a store step's commit point: after
+  /// the tracking interval restarted, before prune/GC and the journal drain
+  /// — where every family's total_latency() closes.
+  struct CommitPoint {
     SimTime clock = 0;
     SimTime step_charge = 0;
-
-    [[nodiscard]] bool ok() const { return image_id != storage::kBadImageId; }
   };
 
   /// The one store step every engine family commits through, once its own
   /// capture and consistency handling are done.  In order:
   ///  1. append `image` to `state.chain` under options().store_retry, with
   ///     `stream_fn` as the StoreFn when set (a streamed commit) and a
-  ///     classic backend store otherwise;
+  ///     classic backend store otherwise; record image_id, store_retries,
+  ///     ok and error in `result`, then release the image's pages so nothing
+  ///     below holds them;
   ///  2. run `settle` — the family releases its consistency protection and
   ///     closes its store span there, before any bookkeeping charges time;
   ///  3. on success count the checkpoint and restart `proc`'s tracking
@@ -257,10 +254,10 @@ class CheckpointEngine {
   ///  4. prune + GC after a full image (prune_after_full) and drain the
   ///     journal (append_commit) — charged after the commit point, so they
   ///     never count toward total_latency().
-  StoreOutcome store_step(sim::SimKernel& kernel, ProcState& state, sim::Pid pid,
-                          sim::Process* proc, storage::CheckpointImage& image,
-                          const storage::CheckpointChain::StoreFn& stream_fn,
-                          const std::function<void(const StoreOutcome&)>& settle);
+  CommitPoint store_step(sim::SimKernel& kernel, ProcState& state, sim::Pid pid,
+                         sim::Process* proc, storage::CheckpointImage&& image,
+                         const storage::CheckpointChain::StoreFn& stream_fn,
+                         CheckpointResult& result, const std::function<void()>& settle);
 
   /// The outcome metrics every engine family reports: ckpt.failed, or
   /// ckpt.completed with the kind, size and latency series.

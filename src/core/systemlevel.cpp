@@ -340,31 +340,28 @@ void KernelThreadEngine::finish_session(sim::SimKernel& kernel) {
 
   ProcState& state = state_for(session.request.target);
   std::uint64_t cow_faults = 0;
-  const StoreOutcome stored = store_step(
-      kernel, state, session.request.target, target, image, {}, [&](const StoreOutcome& out) {
-        if (trace != nullptr) {
-          trace->end("store", track, {obs::TraceArg::num("image_id", out.image_id)});
-        }
-        release_session(kernel, session);
-        // COW activity the live shadow induced while the target kept
-        // running: every write the target made to a still-shared page paid a
-        // fault + page copy.
-        if (session.shadow_pid != sim::kNoPid && target != nullptr) {
-          cow_faults = target->stats.cow_faults - session.cow_at_start;
-        }
-      });
+  const auto settle = [&] {
+    if (trace != nullptr) {
+      trace->end("store", track, {obs::TraceArg::num("image_id", result.image_id)});
+    }
+    release_session(kernel, session);
+    // COW activity the live shadow induced while the target kept running:
+    // every write the target made to a still-shared page paid a fault +
+    // page copy.
+    if (session.shadow_pid != sim::kNoPid && target != nullptr) {
+      cow_faults = target->stats.cow_faults - session.cow_at_start;
+    }
+  };
+  const CommitPoint committed = store_step(kernel, state, session.request.target, target,
+                                           std::move(image), {}, result, settle);
   const SimTime cow_fault_ns =
       cow_faults * (kernel.costs().cow_fault_extra_ns +
                     kernel.costs().mem_copy_cost(sim::kPageSize));
 
-  result.image_id = stored.image_id;
-  result.store_retries = stored.retries;
-  result.ok = stored.ok();
-  if (!result.ok) result.error = name_ + ": storage backend rejected the image";
   // The clock freezes within a scheduling step; time this step's work has
   // already charged (page copies, the storage write) counts toward the
   // completion instant.
-  result.completed_at = stored.clock + stored.step_charge;
+  result.completed_at = committed.clock + committed.step_charge;
   if (trace != nullptr) {
     trace->end("checkpoint", track,
                {obs::TraceArg::str("outcome", result.ok ? "ok" : "store-failed"),

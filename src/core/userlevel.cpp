@@ -153,12 +153,9 @@ void UserLevelEngine::perform_user_checkpoint(sim::SimKernel& kernel, sim::Proce
   proc.stats.syscalls += write_chunks;
   kernel.charge_time(write_chunks * kernel.costs().syscall_crossing_ns,
                      sim::ChargeKind::kSyscall);
-  const StoreOutcome stored = store_step(kernel, state, proc.pid, &proc, image, {}, {});
-  result.image_id = stored.image_id;
-  result.store_retries = stored.retries;
-  result.ok = stored.ok();
-  if (!result.ok) result.error = name_ + ": storage backend rejected the image";
-  result.completed_at = stored.clock + (stored.step_charge - charge_before);
+  const CommitPoint committed =
+      store_step(kernel, state, proc.pid, &proc, std::move(image), {}, result, {});
+  result.completed_at = committed.clock + (committed.step_charge - charge_before);
   if (ticket != 0) {
     complete_ticket(ticket, std::move(result));
   } else {

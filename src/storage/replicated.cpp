@@ -367,8 +367,8 @@ StoreReceipt ReplicatedStore::store_streamed(const StreamSource& source,
 
   // Phase 0: open one append stage per replica and land the image prelude,
   // in replica order on the caller.  The open pays the per-IO setup latency
-  // once; every later append pays marginal bandwidth only.
-  // A lane with an error set has failed: it takes no further appends.
+  // once; every later append pays marginal bandwidth only.  A lane whose
+  // error is set has failed and takes no further appends.
   std::vector<BlobStoreBackend::StageId> open(replica_count, BlobStoreBackend::kBadStageId);
   std::vector<StoreErrorKind> lane_error(replica_count, StoreErrorKind::kNone);
   for (std::size_t r = 0; r < replica_count; ++r) {
