@@ -243,6 +243,12 @@ struct ConsistencyCase {
   bool expect_consistent;
 };
 
+// gtest lists a TEST_P's parameter after its name, and ctest takes that
+// listing as the test's name. Without this the parameter prints as a byte
+// dump that starts with the address of `name`, so the names changed with
+// every build and run.
+void PrintTo(const ConsistencyCase& c, std::ostream* os) { *os << c.name; }
+
 class ConsistencyMatrix : public SimTest,
                           public ::testing::WithParamInterface<ConsistencyCase> {};
 
