@@ -1,5 +1,5 @@
 // Commit-pipeline throughput: serial (pre-pipeline) commit path vs the
-// parallel checkpoint commit pipeline (sharded serialize + slicing-by-8
+// parallel checkpoint commit pipeline (sharded serialize + folding
 // CRC64 + copy-free read-back verify), swept across worker count,
 // replication width and image size.
 //
@@ -187,7 +187,7 @@ int main(int argc, char** argv) {
   const std::string json_path = argc > 1 ? argv[1] : "BENCH_pipeline.json";
   bench::print_header(
       "bench_pipeline -- parallel checkpoint commit pipeline throughput",
-      "sharded serialize + slicing-by-8 CRC64 + copy-free verify vs the "
+      "sharded serialize + folding CRC64 + copy-free verify vs the "
       "serial bytewise commit loop (section 4.1 concurrent-commit branch)");
 
   const bool deterministic = identical_1v8();

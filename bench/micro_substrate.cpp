@@ -3,6 +3,8 @@
 // reproduction harness are visible.
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "core/capture.hpp"
 #include "sim/guests.hpp"
 #include "sim/kernel.hpp"
@@ -23,6 +25,29 @@ void BM_Crc64(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_Crc64)->Arg(4096)->Arg(65536);
+
+// Every compiled CRC64 kernel this CPU runs, by name, on the same buffers —
+// the evidence for which one crc64() dispatches to (the custom context
+// line `crc64_kernel`).
+void BM_Crc64Kernel(benchmark::State& state, const util::Crc64Kernel& kernel) {
+  std::vector<std::byte> data(static_cast<std::size_t>(state.range(0)));
+  for (std::size_t i = 0; i < data.size(); ++i) data[i] = static_cast<std::byte>(i);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kernel.fn(data, 0));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+const bool kCrc64KernelsRegistered = [] {
+  benchmark::AddCustomContext("crc64_kernel", util::crc64_kernel_name());
+  for (const util::Crc64Kernel& kernel : util::crc64_kernels()) {
+    if (!kernel.supported) continue;
+    benchmark::RegisterBenchmark((std::string("BM_Crc64Kernel/") + kernel.name).c_str(),
+                                 BM_Crc64Kernel, kernel)
+        ->Arg(4096)
+        ->Arg(65536);
+  }
+  return true;
+}();
 
 void BM_GuestStep(benchmark::State& state) {
   sim::register_standard_guests();

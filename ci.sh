@@ -58,7 +58,13 @@
 #    BENCH_mpi.json and BENCH_fleet.json carry simulated-time figures only;
 #    after gates 6, 8, 9 and 10 rewrite them, any `git diff` against the
 #    committed files fails the build.
-# 12. docs lint: ARCHITECTURE.md and DESIGN.md must mention every src/
+# 12. crc gate: prints the kernel util::crc64() dispatches to, reruns the
+#    CRC64 kernel-equivalence tests and the storage core's golden digest
+#    under asan-ubsan, then runs micro_substrate's BM_Crc64 on its 64 KiB
+#    buffer.  Below 4 GiB/s fails the build when a carry-less-multiply
+#    kernel was selected; below the 8 GiB/s target only warns, since
+#    wall-clock numbers are noisy on shared runners.
+# 13. docs lint: ARCHITECTURE.md and DESIGN.md must mention every src/
 #    module, DESIGN.md section numbering must be contiguous, and every
 #    intra-repo markdown link in the top-level docs must resolve — both
 #    the path and, for links with a #fragment, a matching heading anchor
@@ -235,6 +241,25 @@ echo "mpi gate: commit mean ${MPI_MEAN} ms flat at 128 ranks, zero lost messages
 # so a rebuilt bench must reproduce the committed file byte for byte.  Any
 # diff means a change moved a stored byte, a charge or a digest.
 git diff --exit-code -- BENCH_dedup.json BENCH_pause.json BENCH_mpi.json BENCH_fleet.json
+
+# CRC gate: the folding kernels must match the bytewise oracle (and leave
+# the golden storage digest alone) under the sanitizers, and be fast.
+ctest --preset asan-ubsan -R 'Crc64|StorageCoreGolden' --output-on-failure
+CRC_JSON="$(./build/bench/micro_substrate --benchmark_filter='^BM_Crc64/65536$' \
+  --benchmark_format=json 2>/dev/null)"
+CRC_KERNEL="$(sed -n 's/.*"crc64_kernel": "\([a-z0-9]*\)".*/\1/p' <<<"${CRC_JSON}")"
+CRC_GIBS="$(sed -n 's/.*"bytes_per_second": \([-0-9.e+]*\).*/\1/p' <<<"${CRC_JSON}" \
+  | awk '{ printf "%.2f", $1 / 1073741824 }')"
+echo "crc gate: crc64 kernel ${CRC_KERNEL}, ${CRC_GIBS} GiB/s on a 64 KiB buffer"
+if [ "${CRC_KERNEL}" != "sliced" ]; then
+  if ! awk -v g="${CRC_GIBS}" 'BEGIN { exit !(g >= 4.0) }'; then
+    echo "CI gate: crc64 kernel ${CRC_KERNEL} ran at ${CRC_GIBS} GiB/s, below the 4 GiB/s floor" >&2
+    exit 1
+  fi
+  if ! awk -v g="${CRC_GIBS}" 'BEGIN { exit !(g >= 8.0) }'; then
+    echo "crc gate: warning: ${CRC_GIBS} GiB/s is below the 8 GiB/s target" >&2
+  fi
+fi
 
 # Docs lint.
 for module in src/*/; do

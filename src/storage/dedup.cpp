@@ -195,7 +195,9 @@ ChunkTable::EncodedImage ChunkTable::encode(const CheckpointImage& image) {
 
       const std::uint64_t crc = util::crc64(page.data);
       const auto size = static_cast<std::uint32_t>(page.data.size());
-      Bucket& bucket = buckets_[{crc, size}];
+      const auto [bucket_it, created] = buckets_.try_emplace({crc, size});
+      Bucket& bucket = bucket_it->second;
+      if (created) bucket.next_ordinal = retired_ordinal(crc, size);
 
       // Hash hit is only a candidate: byte-compare against every chunk in
       // the bucket (pending ones included, for intra-image reuse).
@@ -318,7 +320,9 @@ void ChunkTable::abort(const EncodedImage& enc) {
     Bucket& bucket = bucket_it->second;
     std::erase(bucket.keys, key);
     if (key.ordinal + 1 == bucket.next_ordinal) --bucket.next_ordinal;
-    if (bucket.keys.empty() && bucket.next_ordinal == 0) buckets_.erase(bucket_it);
+    if (bucket.keys.empty() && bucket.next_ordinal == retired_ordinal(key.crc, key.size)) {
+      buckets_.erase(bucket_it);
+    }
     chunks_.erase(key);
   }
 }
@@ -330,21 +334,50 @@ void ChunkTable::release(const std::vector<ChunkKey>& refs) {
   }
 }
 
+std::uint32_t ChunkTable::retired_ordinal(std::uint64_t crc, std::uint32_t size) const {
+  const auto it = std::lower_bound(
+      retired_.begin(), retired_.end(), std::make_pair(crc, size),
+      [](const RetiredBucket& r, const std::pair<std::uint64_t, std::uint32_t>& k) {
+        return std::make_pair(r.crc, r.size) < k;
+      });
+  return it != retired_.end() && it->crc == crc && it->size == size ? it->next_ordinal : 0;
+}
+
 std::vector<ChunkTable::FreedChunk> ChunkTable::collect_garbage() {
   std::vector<FreedChunk> freed;
+  // Chunk keys sort by (crc, size) first, so buckets empty in sorted order.
+  std::vector<RetiredBucket> emptied;
   for (auto it = chunks_.begin(); it != chunks_.end();) {
     if (!it->second.pending && it->second.refs == 0) {
       freed.push_back({it->first, it->second.blob.size()});
-      // The ordinal stays reserved (bucket.next_ordinal is not rolled
-      // back): a key freed here must never be reissued for different
-      // content, or a stale manifest could resolve to wrong bytes.
+      // The ordinal stays reserved: a key freed here must never be reissued
+      // for different content, or a stale manifest could resolve to wrong
+      // bytes.  An emptied bucket is erased and its next ordinal retired.
       const auto bucket_it = buckets_.find({it->first.crc, it->first.size});
-      if (bucket_it != buckets_.end()) std::erase(bucket_it->second.keys, it->first);
+      if (bucket_it != buckets_.end()) {
+        std::erase(bucket_it->second.keys, it->first);
+        if (bucket_it->second.keys.empty()) {
+          emptied.push_back({it->first.crc, it->first.size, bucket_it->second.next_ordinal});
+          buckets_.erase(bucket_it);
+        }
+      }
       it = chunks_.erase(it);
     } else {
       ++it;
     }
   }
+  // Merge once per GC.  A bucket retired before, re-created and emptied
+  // again appears twice; its newer entry holds the higher ordinal.
+  const auto by_bucket = [](const RetiredBucket& a, const RetiredBucket& b) {
+    return std::make_pair(a.crc, a.size) < std::make_pair(b.crc, b.size);
+  };
+  const auto mid = retired_.insert(retired_.end(), emptied.begin(), emptied.end());
+  std::inplace_merge(retired_.begin(), mid, retired_.end(), by_bucket);
+  const auto last = std::unique(retired_.rbegin(), retired_.rend(),
+                                [](const RetiredBucket& a, const RetiredBucket& b) {
+                                  return a.crc == b.crc && a.size == b.size;
+                                });
+  retired_.erase(retired_.begin(), last.base());
   // Predecessor entries naming freed chunks can no longer seed deltas.
   for (auto it = predecessor_.begin(); it != predecessor_.end();) {
     if (!chunks_.contains(it->second)) {

@@ -226,9 +226,21 @@ class ChunkTable {
     std::vector<ChunkKey> keys;
     std::uint32_t next_ordinal = 0;  ///< never reused for committed chunks
   };
+  /// A (crc, size) bucket GC emptied and erased: the ordinal a re-created
+  /// bucket must start from so no freed key is ever reissued.
+  struct RetiredBucket {
+    std::uint64_t crc = 0;
+    std::uint32_t size = 0;
+    std::uint32_t next_ordinal = 0;
+  };
+  /// First ordinal a (re-)created (crc, size) bucket may issue.
+  [[nodiscard]] std::uint32_t retired_ordinal(std::uint64_t crc, std::uint32_t size) const;
 
   DedupOptions options_;
   std::map<std::pair<std::uint64_t, std::uint32_t>, Bucket> buckets_;
+  /// Sorted by (crc, size), one entry per bucket GC ever erased; 16 bytes
+  /// each instead of a live map node.
+  std::vector<RetiredBucket> retired_;
   std::map<ChunkKey, Chunk> chunks_;
   /// (pid, page) → chunk of that page's newest committed content.
   std::map<std::pair<sim::Pid, sim::PageNum>, ChunkKey> predecessor_;

@@ -268,6 +268,15 @@ std::vector<std::byte> CheckpointImage::serialize(util::ThreadPool& pool) const 
   return std::move(out).take();
 }
 
+std::optional<std::uint64_t> CheckpointImage::envelope_crc(std::span<const std::byte> blob) {
+  if (blob.size() < kEnvelopeBytes) return std::nullopt;
+  Deserializer env(blob);
+  env.get<std::uint32_t>();
+  const auto body_crc = env.get<std::uint64_t>();
+  return util::crc64_combine(util::crc64(blob.first(kEnvelopeBytes)), body_crc,
+                             blob.size() - kEnvelopeBytes);
+}
+
 CheckpointImage CheckpointImage::deserialize(std::span<const std::byte> bytes) {
   Deserializer env(bytes);
   const auto version = env.get<std::uint32_t>();

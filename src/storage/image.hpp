@@ -112,6 +112,13 @@ struct CheckpointImage {
   /// encoding) — both serializers reserve this up front.
   [[nodiscard]] std::uint64_t serialized_size() const;
   static CheckpointImage deserialize(std::span<const std::byte> bytes);
+  /// crc64 of a serialized image from its 12-byte envelope header alone:
+  /// the header's own CRC combined with the body CRC the header records.
+  /// Equal to crc64(blob) whenever the body matches that recorded CRC, which
+  /// deserialize() checks — so a caller that deserializes the blob anyway
+  /// never needs a second pass over the body.  nullopt for a blob shorter
+  /// than the header.
+  static std::optional<std::uint64_t> envelope_crc(std::span<const std::byte> blob);
 };
 
 /// Error raised when an image fails CRC or version checks.

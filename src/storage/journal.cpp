@@ -605,6 +605,9 @@ void LogStructuredBackend::reclaim_segments(MigrateReport& report, const ChargeF
     if (!compacted_all || crashed_) return;
     std::fill(media_.slots[victim].begin(), media_.slots[victim].end(), std::byte{0});
     slots_[victim] = Slot{};
+    // The wiped records leave the ledger too, so it holds live segments
+    // only instead of one entry per record ever appended.
+    std::erase_if(ledger_, [victim](const JournalRecordInfo& r) { return r.slot == victim; });
     ++report.segments_reclaimed;
     note_counter("journal.segments_reclaimed");
   }

@@ -222,6 +222,8 @@ class LogStructuredBackend final : public StorageBackend, public ChunkReclaimabl
   void crash_between_drain_and_publish();
 
   // --- Introspection (tests / harness seams) --------------------------------
+  /// Every record of the live segments, in append order.  A reclaimed
+  /// segment's records leave with it, so the ledger is bounded by the ring.
   [[nodiscard]] const std::vector<JournalRecordInfo>& appended_records() const {
     return ledger_;
   }

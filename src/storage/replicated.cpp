@@ -278,7 +278,10 @@ StoreReceipt ReplicatedStore::store_verbose(const CheckpointImage& image,
     blob = image.serialize(*pool_);
   }
   const std::vector<std::byte>& manifest = enc.has_value() ? enc->manifest : blob;
-  const std::uint64_t crc = enc.has_value() ? enc->manifest_crc : util::crc64(blob);
+  // The flat blob's CRC comes from its envelope: serialize() already hashed
+  // the body.
+  const std::uint64_t crc =
+      enc.has_value() ? enc->manifest_crc : *CheckpointImage::envelope_crc(blob);
   if (trace != nullptr) {
     if (enc.has_value()) {
       trace->end("serialize", obs::kStorageTrack,
@@ -547,6 +550,15 @@ StoreReceipt ReplicatedStore::store_streamed(const StreamSource& source,
   return publish(receipt, stages, Publish{full_crc, full_bytes, nullptr, chunk_count});
 }
 
+bool ReplicatedStore::copy_matches(std::span<const std::byte> blob,
+                                   std::uint64_t crc) const {
+  // Flat: the envelope check here and deserialize()'s body-CRC pass in
+  // decode_copy together accept exactly the copies whose crc64 is `crc`,
+  // with one pass over the body instead of two.
+  if (table_ == nullptr) return CheckpointImage::envelope_crc(blob) == crc;
+  return util::crc64(blob) == crc;
+}
+
 std::optional<CheckpointImage> ReplicatedStore::decode_copy(
     std::size_t r, const std::vector<std::byte>& blob, const ChargeFn& charge,
     bool chunk_failover) const {
@@ -594,7 +606,7 @@ std::optional<CheckpointImage> ReplicatedStore::load(ImageId id, const ChargeFn&
     for (const auto& [r, physical] : entry.placements) {
       const auto blob = replicas_[r]->read_blob(physical, charge);
       if (!blob.has_value()) continue;                    // unreachable or missing
-      if (util::crc64(*blob) != entry.crc) continue;      // corrupt copy: fail over
+      if (!copy_matches(*blob, entry.crc)) continue;      // corrupt copy: fail over
       if (auto image = decode_copy(r, *blob, charge, /*chunk_failover=*/true)) return image;
     }
     const std::optional<SimTime> delay = retrier.next_delay();
@@ -610,7 +622,7 @@ std::optional<CheckpointImage> ReplicatedStore::load_from(std::size_t replica, I
   const auto placement = it->second.placements.find(replica);
   if (placement == it->second.placements.end()) return std::nullopt;
   const auto blob = replicas_[replica]->read_blob(placement->second, charge);
-  if (!blob.has_value() || util::crc64(*blob) != it->second.crc) return std::nullopt;
+  if (!blob.has_value() || !copy_matches(*blob, it->second.crc)) return std::nullopt;
   // Strictly this replica — no chunk failover.  The degradation ladder uses
   // load_from to probe what *one* replica can restore by itself.
   return decode_copy(replica, *blob, charge, /*chunk_failover=*/false);

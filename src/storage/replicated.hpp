@@ -299,6 +299,9 @@ class ReplicatedStore final : public StorageBackend, public ChunkReclaimable {
   /// Render one replica-stage span from its replayed ledger.
   void emit_stage(std::size_t r, SimTime base, const ReplicaStage& stage);
 
+  /// First check of a replica copy against its entry's CRC; a flat copy
+  /// that passes is fully verified only once decode_copy deserializes it.
+  [[nodiscard]] bool copy_matches(std::span<const std::byte> blob, std::uint64_t crc) const;
   /// Decode one replica's CRC-verified copy of a committed entry.  Dedup
   /// chunks come from replica `r` first and, with `chunk_failover`, from
   /// any other replica holding a verified copy.

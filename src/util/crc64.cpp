@@ -1,7 +1,13 @@
 #include "util/crc64.hpp"
 
 #include <array>
+#include <atomic>
 #include <bit>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#define CKPT_CRC64_CLMUL 1
+#endif
 
 namespace ckpt::util {
 namespace {
@@ -38,6 +44,136 @@ constexpr std::array<std::array<std::uint64_t, 256>, 8> make_sliced_tables() {
 }
 
 const std::array<std::array<std::uint64_t, 256>, 8> kSliced = make_sliced_tables();
+
+/// Advance the raw register `crc` (no pre/post inversion) over `n` bytes.
+std::uint64_t sliced_update(std::uint64_t crc, const std::byte* p, std::size_t n) {
+  while (n >= 8) {
+    // Fold the whole register into this 8-byte block (big-endian: the first
+    // message byte meets the register's top byte), then one lookup per lane.
+    const std::uint64_t block =
+        (std::to_integer<std::uint64_t>(p[0]) << 56) |
+        (std::to_integer<std::uint64_t>(p[1]) << 48) |
+        (std::to_integer<std::uint64_t>(p[2]) << 40) |
+        (std::to_integer<std::uint64_t>(p[3]) << 32) |
+        (std::to_integer<std::uint64_t>(p[4]) << 24) |
+        (std::to_integer<std::uint64_t>(p[5]) << 16) |
+        (std::to_integer<std::uint64_t>(p[6]) << 8) |
+        std::to_integer<std::uint64_t>(p[7]);
+    const std::uint64_t y = crc ^ block;
+    crc = kSliced[7][(y >> 56) & 0xFF] ^ kSliced[6][(y >> 48) & 0xFF] ^
+          kSliced[5][(y >> 40) & 0xFF] ^ kSliced[4][(y >> 32) & 0xFF] ^
+          kSliced[3][(y >> 24) & 0xFF] ^ kSliced[2][(y >> 16) & 0xFF] ^
+          kSliced[1][(y >> 8) & 0xFF] ^ kSliced[0][y & 0xFF];
+    p += 8;
+    n -= 8;
+  }
+  for (; n != 0; ++p, --n) {
+    const auto idx = static_cast<std::size_t>(
+        (crc >> 56) ^ std::to_integer<std::uint64_t>(*p));
+    crc = (crc << 8) ^ kTable[idx & 0xFF];
+  }
+  return crc;
+}
+
+#ifdef CKPT_CRC64_CLMUL
+// --- Carry-less-multiply folding -------------------------------------------
+//
+// The CRC register after a message M of n bytes (seed folded into the first
+// 8 bytes, as sliced_update's `crc ^ block` does) is M(x)·x^64 mod P, so any
+// prefix may be replaced by a shorter polynomial congruent to it mod P.  A
+// 128-bit big-endian lane X = Xh·x^64 + Xl that sits D bytes before the lane
+// it is folded into contributes
+//
+//   X·x^(8D) ≡ Xh·(x^(8D+64) mod P) + Xl·(x^(8D) mod P)
+//
+// which is two 64×64 carry-less products of at most 127 bits: one 128-bit
+// lane again.  Eight independent lanes cover 128 bytes per round (fold by
+// x^1024), enough to keep the multiplier busy; they are then folded into one
+// lane 16 bytes at a time, and that lane's 16 bytes plus the sub-16-byte
+// tail finish on the byte tables.  The register is non-reflected, so the
+// products need no bit-reversal fix-up.
+
+/// x^k mod P, the 64-bit remainder.
+constexpr std::uint64_t xpow_mod(std::uint32_t k) {
+  std::uint64_t r = 1;
+  for (; k != 0; --k) r = (r & (1ULL << 63)) != 0 ? (r << 1) ^ kPoly : r << 1;
+  return r;
+}
+
+struct FoldConstants {
+  std::uint64_t lo;  ///< x^(8D) mod P, multiplies the low half
+  std::uint64_t hi;  ///< x^(8D+64) mod P, multiplies the high half
+};
+
+constexpr FoldConstants fold_by(std::uint32_t bytes) {
+  return {xpow_mod(8 * bytes), xpow_mod(8 * bytes + 64)};
+}
+
+constexpr std::size_t kLanes = 8;
+constexpr std::size_t kRoundBytes = kLanes * 16;
+constexpr FoldConstants kFoldRound = fold_by(kRoundBytes);  // x^1024
+constexpr FoldConstants kFoldLane = fold_by(16);            // x^128
+
+__attribute__((target("pclmul,ssse3"))) inline __m128i byte_reverse(__m128i v) {
+  return _mm_shuffle_epi8(v, _mm_set_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15));
+}
+
+__attribute__((target("pclmul,ssse3"))) inline __m128i load_be(const std::byte* at) {
+  return byte_reverse(_mm_loadu_si128(reinterpret_cast<const __m128i*>(at)));
+}
+
+__attribute__((target("pclmul,ssse3"))) inline __m128i fold(__m128i x, __m128i k) {
+  return _mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x11), _mm_clmulepi64_si128(x, k, 0x00));
+}
+
+__attribute__((target("pclmul,ssse3"))) std::uint64_t crc64_clmul(
+    std::span<const std::byte> data, std::uint64_t seed) {
+  if (data.size() < kRoundBytes) return crc64_sliced(data, seed);
+  const std::byte* p = data.data();
+  std::size_t n = data.size();
+
+  __m128i lane[kLanes];
+  for (std::size_t i = 0; i < kLanes; ++i) lane[i] = load_be(p + 16 * i);
+  lane[0] = _mm_xor_si128(lane[0], _mm_set_epi64x(static_cast<long long>(~seed), 0));
+  p += kRoundBytes;
+  n -= kRoundBytes;
+
+  const __m128i k_round = _mm_set_epi64x(static_cast<long long>(kFoldRound.hi),
+                                         static_cast<long long>(kFoldRound.lo));
+  for (; n >= kRoundBytes; p += kRoundBytes, n -= kRoundBytes) {
+    for (std::size_t i = 0; i < kLanes; ++i) {
+      lane[i] = _mm_xor_si128(fold(lane[i], k_round), load_be(p + 16 * i));
+    }
+  }
+
+  const __m128i k_lane = _mm_set_epi64x(static_cast<long long>(kFoldLane.hi),
+                                        static_cast<long long>(kFoldLane.lo));
+  __m128i acc = lane[0];
+  for (std::size_t i = 1; i < kLanes; ++i) acc = _mm_xor_si128(fold(acc, k_lane), lane[i]);
+  for (; n >= 16; p += 16, n -= 16) acc = _mm_xor_si128(fold(acc, k_lane), load_be(p));
+
+  // acc ≡ every byte before p: hash it as 16 message bytes from a zero
+  // register, then the tail.
+  std::byte folded[16];
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(folded), byte_reverse(acc));
+  return ~sliced_update(sliced_update(0, folded, sizeof folded), p, n);
+}
+#endif
+
+/// The kernel crc64() runs, chosen at the first call: the last one
+/// crc64_kernels() lists as supported ("sliced" always is).
+const Crc64Kernel& active_kernel() {
+  static const Crc64Kernel* const kernel = [] {
+    const Crc64Kernel* best = nullptr;
+    for (const Crc64Kernel& k : crc64_kernels()) {
+      if (k.supported) best = &k;
+    }
+    return best;
+  }();
+  return *kernel;
+}
+
+std::atomic<std::uint64_t> bytes_hashed{0};
 
 // --- GF(2) linear algebra for crc64_combine --------------------------------
 //
@@ -80,39 +216,16 @@ const Gf2Matrix kZeroByte = make_zero_byte_matrix();
 }  // namespace
 
 std::uint64_t crc64(std::span<const std::byte> data, std::uint64_t seed) {
-  std::uint64_t crc = ~seed;
-  const std::byte* p = data.data();
-  std::size_t n = data.size();
-  while (n >= 8) {
-    // Fold the whole register into this 8-byte block (big-endian: the first
-    // message byte meets the register's top byte), then one lookup per lane.
-    const std::uint64_t block =
-        (std::to_integer<std::uint64_t>(p[0]) << 56) |
-        (std::to_integer<std::uint64_t>(p[1]) << 48) |
-        (std::to_integer<std::uint64_t>(p[2]) << 40) |
-        (std::to_integer<std::uint64_t>(p[3]) << 32) |
-        (std::to_integer<std::uint64_t>(p[4]) << 24) |
-        (std::to_integer<std::uint64_t>(p[5]) << 16) |
-        (std::to_integer<std::uint64_t>(p[6]) << 8) |
-        std::to_integer<std::uint64_t>(p[7]);
-    const std::uint64_t y = crc ^ block;
-    crc = kSliced[7][(y >> 56) & 0xFF] ^ kSliced[6][(y >> 48) & 0xFF] ^
-          kSliced[5][(y >> 40) & 0xFF] ^ kSliced[4][(y >> 32) & 0xFF] ^
-          kSliced[3][(y >> 24) & 0xFF] ^ kSliced[2][(y >> 16) & 0xFF] ^
-          kSliced[1][(y >> 8) & 0xFF] ^ kSliced[0][y & 0xFF];
-    p += 8;
-    n -= 8;
-  }
-  for (; n != 0; ++p, --n) {
-    const auto idx = static_cast<std::size_t>(
-        (crc >> 56) ^ std::to_integer<std::uint64_t>(*p));
-    crc = (crc << 8) ^ kTable[idx & 0xFF];
-  }
-  return ~crc;
+  bytes_hashed.fetch_add(data.size(), std::memory_order_relaxed);
+  return active_kernel().fn(data, seed);
 }
 
 std::uint64_t crc64(const void* data, std::size_t size, std::uint64_t seed) {
   return crc64(std::span(static_cast<const std::byte*>(data), size), seed);
+}
+
+std::uint64_t crc64_sliced(std::span<const std::byte> data, std::uint64_t seed) {
+  return ~sliced_update(~seed, data.data(), data.size());
 }
 
 std::uint64_t crc64_bytewise(std::span<const std::byte> data, std::uint64_t seed) {
@@ -124,6 +237,24 @@ std::uint64_t crc64_bytewise(std::span<const std::byte> data, std::uint64_t seed
   }
   return ~crc;
 }
+
+std::span<const Crc64Kernel> crc64_kernels() {
+  static const auto kernels = [] {
+#ifdef CKPT_CRC64_CLMUL
+    __builtin_cpu_init();
+    const bool clmul = __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("ssse3");
+    return std::array{Crc64Kernel{"sliced", true, &crc64_sliced},
+                      Crc64Kernel{"pclmul", clmul, &crc64_clmul}};
+#else
+    return std::array{Crc64Kernel{"sliced", true, &crc64_sliced}};
+#endif
+  }();
+  return kernels;
+}
+
+const char* crc64_kernel_name() { return active_kernel().name; }
+
+std::uint64_t crc64_bytes_hashed() { return bytes_hashed.load(std::memory_order_relaxed); }
 
 std::uint64_t crc64_combine(std::uint64_t crc_a, std::uint64_t crc_b,
                             std::uint64_t len_b) {

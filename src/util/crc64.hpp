@@ -2,12 +2,23 @@
 // probabilistic-checkpointing block hashes [Nam et al., "Probabilistic
 // Checkpointing"].
 //
-// The default crc64() runs slicing-by-8 (eight 256-entry tables, one table
-// lookup per input byte position in an 8-byte block) — the commit pipeline
-// CRCs every blob at serialize, stage-verify, load and scrub time, so the
-// bytewise loop was the single hottest loop in the repo.  crc64_bytewise()
-// keeps the original one-table implementation as the reference the
-// equivalence tests pin the sliced version against.
+// crc64() dispatches once, at its first call, to the fastest kernel this CPU
+// runs (crc64_kernel_name() says which):
+//
+//   * "pclmul" (x86 with PCLMULQDQ and SSSE3): carry-less-multiply folding.
+//     Eight independent 128-bit lanes each fold 16 input bytes per step by
+//     x^1024 mod P; the lanes then fold into one, whose 16 bytes and the
+//     sub-16-byte tail finish on the byte tables.  The fold constants
+//     x^k mod P are derived from the polynomial in crc64.cpp.  The kernel
+//     is compiled with a per-function target attribute, so the build needs
+//     no global -m flags and still runs on CPUs without the instruction.
+//   * "sliced": slicing-by-8, eight 256-entry tables, one lookup per input
+//     byte position of an 8-byte block.  The portable fallback, and what the
+//     folding kernel uses for inputs shorter than one 128-byte round.
+//
+// crc64_bytewise() keeps the original one-table loop as the reference the
+// equivalence tests pin every kernel against.  Every kernel returns the same
+// value for every input, so which one runs never reaches a stored byte.
 #pragma once
 
 #include <cstddef>
@@ -24,10 +35,32 @@ std::uint64_t crc64(std::span<const std::byte> data, std::uint64_t seed = 0);
 /// Convenience overload for raw buffers.
 std::uint64_t crc64(const void* data, std::size_t size, std::uint64_t seed = 0);
 
-/// Reference single-table, byte-at-a-time implementation (the pre-pipeline
-/// hot loop).  Bit-identical to crc64(); kept for equivalence tests and as
-/// the serial baseline in bench_pipeline.
+/// Slicing-by-8, the portable kernel.  Bit-identical to crc64().
+std::uint64_t crc64_sliced(std::span<const std::byte> data, std::uint64_t seed = 0);
+
+/// Reference single-table, byte-at-a-time implementation.  Bit-identical to
+/// crc64(); kept for equivalence tests and as the serial baseline in
+/// bench_pipeline.
 std::uint64_t crc64_bytewise(std::span<const std::byte> data, std::uint64_t seed = 0);
+
+/// One compiled crc64() kernel.  `supported` says whether this CPU can run
+/// it; calling `fn` when it is false is undefined.
+struct Crc64Kernel {
+  const char* name;
+  bool supported;
+  std::uint64_t (*fn)(std::span<const std::byte> data, std::uint64_t seed);
+};
+
+/// Every kernel compiled into this build, slowest first.  crc64() runs the
+/// last supported one.
+std::span<const Crc64Kernel> crc64_kernels();
+
+/// Name of the kernel crc64() dispatches to.
+const char* crc64_kernel_name();
+
+/// Bytes passed through crc64() by every thread since process start: a
+/// deterministic work counter (relaxed, never reset), not a tuning knob.
+std::uint64_t crc64_bytes_hashed();
 
 /// Combine independently computed checksums of adjacent buffers:
 ///

@@ -300,6 +300,43 @@ TEST_F(DedupTest, CrcCollisionsCoexistUnderDistinctOrdinals) {
   EXPECT_EQ(loaded->segments[0].pages[1].data, m2);
 }
 
+TEST_F(DedupTest, CollectedBucketNeverReissuesItsOrdinals) {
+  // GC erases an emptied (crc, size) bucket but retires its next ordinal: a
+  // stale manifest may still name the freed key, so content re-encoded into
+  // that bucket must continue past it.
+  const auto [m1, m2] = colliding_contents();
+  DedupOptions options;
+  options.delta_encode = false;
+  ChunkTable table(options);
+  const ChunkTable::EncodedImage first = table.encode(make_image(1, {m1}));
+  ASSERT_EQ(first.fresh.size(), 1u);
+  EXPECT_EQ(first.fresh[0].key.ordinal, 0u);
+  table.commit(first);
+  table.release(first.refs);
+  ASSERT_EQ(table.collect_garbage().size(), 1u);
+  EXPECT_EQ(table.live_count(), 0u);
+
+  // An aborted encode rolls back to the retired ordinal, not to 0.
+  const ChunkTable::EncodedImage aborted = table.encode(make_image(2, {m2}));
+  ASSERT_EQ(aborted.fresh.size(), 1u);
+  EXPECT_EQ(aborted.fresh[0].key.ordinal, 1u);
+  table.abort(aborted);
+
+  const ChunkTable::EncodedImage again = table.encode(make_image(3, {m2, m1}));
+  ASSERT_EQ(again.fresh.size(), 2u);
+  EXPECT_EQ(again.fresh[0].key.crc, first.fresh[0].key.crc);
+  EXPECT_EQ(again.fresh[0].key.ordinal, 1u);
+  EXPECT_EQ(again.fresh[1].key.ordinal, 2u);
+  table.commit(again);
+
+  // Retired twice: the second retirement supersedes the first.
+  table.release(again.refs);
+  ASSERT_EQ(table.collect_garbage().size(), 2u);
+  const ChunkTable::EncodedImage third = table.encode(make_image(4, {m1}));
+  ASSERT_EQ(third.fresh.size(), 1u);
+  EXPECT_EQ(third.fresh[0].key.ordinal, 3u);
+}
+
 // --- Property: random image chains round-trip --------------------------------
 
 TEST_F(DedupTest, RandomImageChainsRoundTripBitIdentically) {

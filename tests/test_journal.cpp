@@ -347,6 +347,36 @@ TEST_F(JournalTest, MigratorDrainsIntoHomeAndReclaimsSegments) {
   }
 }
 
+TEST_F(JournalTest, AppendLedgerStaysBoundedAcrossManyReclaimCycles) {
+  // The ledger is a test seam, not a history: reclaiming a segment drops its
+  // records, so across any number of migrate/reclaim cycles the ledger holds
+  // exactly the records of the live segments.
+  JournalOptions options;
+  options.segment_bytes = 24 * 1024;
+  options.segments = 6;
+  LogStructuredBackend journal(&home_, options);
+  std::uint64_t reclaimed = 0;
+  std::size_t peak = 0;
+  for (std::uint64_t cycle = 0; cycle < 40; ++cycle) {
+    for (std::uint64_t i = 0; i < 3; ++i) {
+      ASSERT_NE(journal.store(make_image(cycle * 3 + i), ChargeFn{}), kBadImageId);
+    }
+    const LogStructuredBackend::MigrateReport report = journal.migrate(ChargeFn{});
+    ASSERT_TRUE(report.complete) << "cycle " << cycle;
+    reclaimed += report.segments_reclaimed;
+    std::uint64_t ledger_bytes = 0;
+    for (const JournalRecordInfo& record : journal.appended_records()) {
+      ledger_bytes += record.bytes;
+    }
+    ASSERT_EQ(ledger_bytes, journal.log_live_bytes()) << "cycle " << cycle;
+    peak = std::max(peak, journal.appended_records().size());
+  }
+  EXPECT_GT(reclaimed, 4 * options.segments) << "the ring must wrap several times";
+  // Every record carries a 21-byte envelope, so live segments hold a
+  // bounded number of them.
+  EXPECT_LE(peak, options.segments * options.segment_bytes / 21);
+}
+
 TEST_F(JournalTest, OnDemandMigrationFreesSpaceWhenTheLogFills) {
   JournalOptions cramped;
   cramped.segment_bytes = 16 * 1024;

@@ -8,6 +8,7 @@
 
 #include "obs/observer.hpp"
 #include "storage/backend.hpp"
+#include "storage/chain.hpp"
 #include "storage/image.hpp"
 #include "storage/replicated.hpp"
 #include "storage/retry.hpp"
@@ -259,6 +260,36 @@ TEST_F(ReplicatedTest, NewestCommittedTracksManifestOrder) {
 }
 
 // --- RetryPolicy / Retrier ---------------------------------------------------
+
+TEST_F(ReplicatedTest, FlatCommitWithPruneHashesEachByteAtMostFiveTimes) {
+  // One flat commit of an S-byte image, then the prune that follows a full
+  // image, may hash 5·S bytes: serialize's body pass, three read-back
+  // verifies and the prune's verifying load.  The entry CRC and the load's
+  // copy check come from the envelope, not from more passes over the blob.
+  RemoteBackend third{costs_};
+  ReplicatedStore store({&local_, &remote_, &third});
+  CheckpointChain chain(&store);
+  ASSERT_NE(chain.append(make_image(1), ChargeFn{}), kBadImageId);
+
+  CheckpointImage image = make_image(2);
+  MemorySegmentImage heap;
+  heap.vma = sim::Vma{sim::page_of(0x40000), 16, sim::kProtRW, sim::VmaKind::kHeap, "heap"};
+  for (std::uint64_t p = 0; p < heap.vma.page_count; ++p) {
+    PageImage page;
+    page.page = heap.vma.first_page + p;
+    page.data.assign(sim::kPageSize, static_cast<std::byte>(p));
+    heap.pages.push_back(std::move(page));
+  }
+  image.segments.push_back(std::move(heap));
+  const std::uint64_t size = image.serialized_size();
+
+  const std::uint64_t before = util::crc64_bytes_hashed();
+  ASSERT_NE(chain.append(std::move(image), ChargeFn{}), kBadImageId);
+  chain.prune();
+  const std::uint64_t hashed = util::crc64_bytes_hashed() - before;
+  EXPECT_EQ(chain.length(), 1u);
+  EXPECT_LE(hashed, 5 * size) << "hashed " << hashed << " bytes of a " << size << "-byte image";
+}
 
 TEST(RetryPolicy, BackoffScheduleIsDeterministicFromSeed) {
   RetryPolicy policy;

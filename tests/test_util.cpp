@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 #include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/crc64.hpp"
@@ -119,6 +121,104 @@ TEST(Crc64, CombineHandlesLargeLengthsWithoutADataPass) {
   padded.resize(a.size() + (1 << 20));  // 1 MiB of zeros appended
   const std::span<const std::byte> zeros(padded.data() + a.size(), 1 << 20);
   EXPECT_EQ(crc64_combine(crc64(a), crc64(zeros), zeros.size()), crc64(padded));
+}
+
+// --- Every compiled kernel vs the bytewise oracle ----------------------------
+//
+// Each kernel crc64_kernels() lists runs by name ("dispatched" is crc64()
+// itself), skipped where the build or the CPU lacks it.  The folding kernel
+// switches paths at one 128-byte round and at every whole 16-byte lane, so
+// lengths sweep across all of those at every 64-byte misalignment.
+
+class Crc64Kernels : public ::testing::TestWithParam<const char*> {
+ protected:
+  using Fn = std::uint64_t (*)(std::span<const std::byte>, std::uint64_t);
+
+  void SetUp() override {
+    const std::string_view name = GetParam();
+    if (name == "dispatched") {
+      fn_ = [](std::span<const std::byte> data, std::uint64_t seed) { return crc64(data, seed); };
+      return;
+    }
+    for (const Crc64Kernel& kernel : crc64_kernels()) {
+      if (name != kernel.name) continue;
+      if (!kernel.supported) GTEST_SKIP() << name << ": this CPU lacks the instructions";
+      fn_ = kernel.fn;
+      return;
+    }
+    GTEST_SKIP() << name << ": not compiled for this target";
+  }
+
+  Fn fn_ = nullptr;
+};
+
+TEST_P(Crc64Kernels, MatchesBytewiseOnEveryLengthToTwoKiBAtEveryMisalignment) {
+  constexpr std::size_t kMaxLen = 2048;
+  const std::vector<std::byte> data = patterned(kMaxLen + 64, 0x5EA7);
+  for (std::size_t misalign = 0; misalign < 64; ++misalign) {
+    // The oracle grows one byte at a time by seed chaining.
+    std::uint64_t expect = 0;
+    for (std::size_t len = 0; len <= kMaxLen; ++len) {
+      const std::span<const std::byte> view(data.data() + misalign, len);
+      ASSERT_EQ(fn_(view, 0), expect) << "misalign " << misalign << " len " << len;
+      expect = crc64_bytewise(std::span(data.data() + misalign + len, 1), expect);
+    }
+  }
+}
+
+TEST_P(Crc64Kernels, MatchesBytewiseAroundFoldBoundaries) {
+  const std::vector<std::byte> data = patterned(4096 + 64, 0xB0DA);
+  for (const std::size_t boundary : {128, 256, 1024, 4096}) {
+    for (const std::size_t len : {boundary - 1, boundary, boundary + 1}) {
+      for (const std::uint64_t seed : {0ULL, 1ULL, 0xDEADBEEFULL, ~0ULL}) {
+        const std::span<const std::byte> view(data.data() + 3, len);
+        ASSERT_EQ(fn_(view, seed), crc64_bytewise(view, seed))
+            << "len " << len << " seed " << seed;
+      }
+    }
+  }
+}
+
+TEST_P(Crc64Kernels, SeededChainingMatchesAtEverySplitPoint) {
+  const std::vector<std::byte> data = patterned(1100, 0xC4A1);
+  const std::uint64_t whole = crc64_bytewise(data);
+  for (std::size_t split = 0; split <= data.size(); ++split) {
+    const std::span<const std::byte> a(data.data(), split);
+    const std::span<const std::byte> b(data.data() + split, data.size() - split);
+    ASSERT_EQ(fn_(b, fn_(a, 0)), whole) << "split " << split;
+  }
+}
+
+TEST_P(Crc64Kernels, MatchesBytewiseOnSixtyFourMiB) {
+  const std::vector<std::byte> data = patterned(std::size_t{64} << 20, 0x64);
+  EXPECT_EQ(fn_(data, 0x1234), crc64_bytewise(data, 0x1234));
+}
+
+INSTANTIATE_TEST_SUITE_P(ByName, Crc64Kernels,
+                         ::testing::Values("dispatched", "sliced", "pclmul"),
+                         [](const auto& info) { return std::string(info.param); });
+
+TEST(Crc64, DispatchRunsTheLastSupportedKernel) {
+  const char* expected = nullptr;
+  for (const Crc64Kernel& kernel : crc64_kernels()) {
+    if (kernel.supported) expected = kernel.name;
+  }
+  ASSERT_NE(expected, nullptr);
+  EXPECT_STREQ(crc64_kernel_name(), expected);
+  EXPECT_STREQ(crc64_kernels().front().name, "sliced");
+  EXPECT_TRUE(crc64_kernels().front().supported);
+}
+
+TEST(Crc64, BytesHashedCountsEveryDispatchedByte) {
+  const std::vector<std::byte> data = patterned(1000, 0xC0);
+  const std::uint64_t before = crc64_bytes_hashed();
+  crc64(data);
+  crc64(data.data(), 10);
+  EXPECT_EQ(crc64_bytes_hashed() - before, 1010u);
+  // The named kernels are test and bench entry points, not work.
+  crc64_sliced(data);
+  crc64_bytewise(data);
+  EXPECT_EQ(crc64_bytes_hashed() - before, 1010u);
 }
 
 TEST(Serializer, RoundTripPrimitives) {
