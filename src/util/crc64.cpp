@@ -173,7 +173,27 @@ const Crc64Kernel& active_kernel() {
   return *kernel;
 }
 
-std::atomic<std::uint64_t> bytes_hashed{0};
+// crc64() runs on every pool worker at once (a fleet window hashes thousands
+// of small blobs in parallel), so the work counter is split into one
+// cache line per slot and each thread adds to its own.  A single shared
+// counter bounced its line between cores on every call, and with it the
+// kernel pointer the linker placed on the same line: a cost that depended
+// on how the workers' calls happened to interleave.
+constexpr std::size_t kCounterSlots = 64;
+
+struct alignas(64) CounterSlot {
+  std::atomic<std::uint64_t> bytes{0};
+};
+
+CounterSlot counter_slots[kCounterSlots];
+std::atomic<std::size_t> next_counter_slot{0};
+
+/// This thread's slot, handed out round-robin at its first crc64() call.
+CounterSlot& own_counter_slot() {
+  thread_local CounterSlot& slot =
+      counter_slots[next_counter_slot.fetch_add(1, std::memory_order_relaxed) % kCounterSlots];
+  return slot;
+}
 
 // --- GF(2) linear algebra for crc64_combine --------------------------------
 //
@@ -216,7 +236,7 @@ const Gf2Matrix kZeroByte = make_zero_byte_matrix();
 }  // namespace
 
 std::uint64_t crc64(std::span<const std::byte> data, std::uint64_t seed) {
-  bytes_hashed.fetch_add(data.size(), std::memory_order_relaxed);
+  own_counter_slot().bytes.fetch_add(data.size(), std::memory_order_relaxed);
   return active_kernel().fn(data, seed);
 }
 
@@ -254,7 +274,11 @@ std::span<const Crc64Kernel> crc64_kernels() {
 
 const char* crc64_kernel_name() { return active_kernel().name; }
 
-std::uint64_t crc64_bytes_hashed() { return bytes_hashed.load(std::memory_order_relaxed); }
+std::uint64_t crc64_bytes_hashed() {
+  std::uint64_t total = 0;
+  for (const CounterSlot& slot : counter_slots) total += slot.bytes.load(std::memory_order_relaxed);
+  return total;
+}
 
 std::uint64_t crc64_combine(std::uint64_t crc_a, std::uint64_t crc_b,
                             std::uint64_t len_b) {

@@ -60,6 +60,8 @@ const char* crc64_kernel_name();
 
 /// Bytes passed through crc64() by every thread since process start: a
 /// deterministic work counter (relaxed, never reset), not a tuning knob.
+/// Each thread counts into its own cache line and this sums them, so it is
+/// exact for every call that happens-before it (a joined pool run, say).
 std::uint64_t crc64_bytes_hashed();
 
 /// Combine independently computed checksums of adjacent buffers:

@@ -5,6 +5,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "util/crc64.hpp"
@@ -219,6 +220,22 @@ TEST(Crc64, BytesHashedCountsEveryDispatchedByte) {
   crc64_sliced(data);
   crc64_bytewise(data);
   EXPECT_EQ(crc64_bytes_hashed() - before, 1010u);
+}
+
+TEST(Crc64, BytesHashedSumsEveryThread) {
+  // More threads than the counter has slots, so some threads share one.
+  constexpr std::size_t kThreads = 72;
+  constexpr std::size_t kCallsPerThread = 50;
+  const std::vector<std::byte> data = patterned(kThreads, 0x5A);
+  const std::uint64_t before = crc64_bytes_hashed();
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&data, t] {
+      for (std::size_t i = 0; i < kCallsPerThread; ++i) crc64(std::span(data).first(t + 1));
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(crc64_bytes_hashed() - before, kCallsPerThread * kThreads * (kThreads + 1) / 2);
 }
 
 TEST(Serializer, RoundTripPrimitives) {
