@@ -54,10 +54,10 @@
 #    flat per-rank commit fails to beat at 128 ranks, any lost message,
 #    any 1-vs-8-worker divergence, or a covered rollback deeper than one
 #    checkpoint fails the build.
-# 11. sim-time drift gate: BENCH_dedup.json, BENCH_pause.json,
-#    BENCH_mpi.json and BENCH_fleet.json carry simulated-time figures only;
-#    after gates 6, 8, 9 and 10 rewrite them, any `git diff` against the
-#    committed files fails the build.
+# 11. sim-time drift gate: BENCH_dedup.json, BENCH_journal.json,
+#    BENCH_pause.json, BENCH_mpi.json and BENCH_fleet.json carry
+#    simulated-time figures only; after gates 6-10 rewrite them, any
+#    `git diff` against the committed files fails the build.
 # 12. crc gate: prints the kernel util::crc64() dispatches to, reruns the
 #    CRC64 kernel-equivalence tests and the storage core's golden digest
 #    under asan-ubsan, then runs micro_substrate's BM_Crc64 on its 64 KiB
@@ -237,10 +237,11 @@ fi
 MPI_MEAN="$(sed -n 's/.*"uncoordinated_commit_mean_ms": \([0-9.]*\).*/\1/p' BENCH_mpi.json | tail -1)"
 echo "mpi gate: commit mean ${MPI_MEAN} ms flat at 128 ranks, zero lost messages, covered rollback depth 1"
 
-# Sim-time drift gate: these four reports hold simulated-time figures only,
+# Sim-time drift gate: these five reports hold simulated-time figures only,
 # so a rebuilt bench must reproduce the committed file byte for byte.  Any
 # diff means a change moved a stored byte, a charge or a digest.
-git diff --exit-code -- BENCH_dedup.json BENCH_pause.json BENCH_mpi.json BENCH_fleet.json
+git diff --exit-code -- BENCH_dedup.json BENCH_journal.json BENCH_pause.json BENCH_mpi.json \
+  BENCH_fleet.json
 
 # CRC gate: the folding kernels must match the bytewise oracle (and leave
 # the golden storage digest alone) under the sanitizers, and be fast.

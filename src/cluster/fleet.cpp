@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <stdexcept>
 
 #include "core/capture.hpp"
 #include "obs/observer.hpp"
@@ -47,6 +48,18 @@ bool restored_matches(const storage::CheckpointImage& now_image,
     if (!(now_image.threads[i].regs == truth.threads[i].regs)) return false;
   }
   return true;
+}
+
+/// The geometry as given, or std::invalid_argument when the fleet cannot
+/// honour it: every shard needs a storage-home node and at least one slot.
+const FleetOptions& validated(const FleetOptions& options) {
+  if (options.active_nodes < 1 || options.spare_nodes < 0) {
+    throw std::invalid_argument("FleetManager: needs active_nodes >= 1 and spare_nodes >= 0");
+  }
+  if (options.shards < 1 || options.shards > options.active_nodes) {
+    throw std::invalid_argument("FleetManager: shards must be in [1, active_nodes]");
+  }
+  return options;
 }
 
 }  // namespace
@@ -190,7 +203,7 @@ std::string FleetReport::summary() const {
 // --- FleetManager -----------------------------------------------------------
 
 FleetManager::FleetManager(FleetOptions options)
-    : options_(options),
+    : options_(validated(options)),
       cluster_(options.active_nodes + options.spare_nodes,
                NodeConfig{1, options.costs, options.seed}),
       pinned_pool_(options.workers > 0 ? std::make_unique<util::ThreadPool>(options.workers)
@@ -216,20 +229,17 @@ FleetManager::FleetManager(FleetOptions options)
                 }()),
       heartbeat_injector_(options.observer) {
   sim::register_standard_guests();
-  if (options_.shards <= 0) options_.shards = 1;
   if (options_.observer != nullptr) {
     options_.observer->set_clock([this] { return cluster_.now(); });
   }
 
   // Ground truth.  The detector never sees this: it is metrics (detection
-  // latency baselines) only — and, in legacy open-loop mode, the estimator's
-  // failure feed.  Closed-loop mode feeds the estimator from detector
-  // confirmations instead (on_confirmed_dead), so the autonomic interval is
-  // a function of *measured* signals alone.
+  // latency baselines) only.  The estimator is fed from detector
+  // confirmations (on_confirmed_dead), so the autonomic interval is a
+  // function of *measured* signals alone.
   cluster_.on_failure([this](Cluster&, int id) {
     truth_failed_at_[id] = cluster_.now();
     ++report_.failures_injected;
-    if (!options_.closed_loop_interval) estimator_.observe_failure(cluster_.now());
     if (options_.observer != nullptr) {
       options_.observer->metrics().add("fleet.failures");
       options_.observer->trace().instant(
@@ -250,7 +260,7 @@ FleetManager::FleetManager(FleetOptions options)
   });
 
   // Shards: per-shard remote backend + replicated store (replica 0 = the
-  // storage-home node's disk) optionally fronted by a journal.
+  // storage-home node's disk) fronted by a journal.
   shards_.resize(static_cast<std::size_t>(options_.shards));
   for (int s = 0; s < options_.shards; ++s) {
     Shard& shard = shards_[static_cast<std::size_t>(s)];
@@ -260,21 +270,17 @@ FleetManager::FleetManager(FleetOptions options)
     ropts.write_quorum = 1;
     ropts.retry = options_.store_retry;
     ropts.pool = pool_;
-    ropts.dedup = options_.dedup;
     shard.store = std::make_unique<storage::ReplicatedStore>(
         std::vector<storage::BlobStoreBackend*>{&cluster_.node(s).disk(),
                                                 shard.remote.get()},
         ropts);
-    if (options_.append_commit) {
-      storage::JournalOptions jopts;
-      jopts.segment_bytes = options_.journal_segment_bytes;
-      jopts.segments = options_.journal_segments;
-      jopts.migrate_on_demand = true;
-      jopts.pool = pool_;
-      jopts.costs = options_.costs;
-      shard.journal =
-          std::make_unique<storage::LogStructuredBackend>(shard.store.get(), jopts);
-    }
+    storage::JournalOptions jopts;
+    jopts.segment_bytes = options_.journal_segment_bytes;
+    jopts.segments = options_.journal_segments;
+    jopts.migrate_on_demand = true;
+    jopts.pool = pool_;
+    jopts.costs = options_.costs;
+    shard.journal = std::make_unique<storage::LogStructuredBackend>(shard.store.get(), jopts);
   }
 
   // Slots: one guest per active node, round-robin over shards.
@@ -354,8 +360,7 @@ FleetReport FleetManager::run(std::uint64_t windows) {
   report_.pending_at_end = pending_.size();
   report_.durable_bytes = 0;
   for (const Shard& shard : shards_) {
-    report_.durable_bytes += shard.store->stored_bytes();
-    if (shard.journal != nullptr) report_.durable_bytes += shard.journal->stored_bytes();
+    report_.durable_bytes += shard.store->stored_bytes() + shard.journal->stored_bytes();
   }
   ingest_telemetry();
   if (options_.observer != nullptr) {
@@ -440,9 +445,9 @@ void FleetManager::on_confirmed_dead(int node_id) {
   ++report_.confirmed_dead;
   // The measured-failure feed: confirmations (false confirms included — a
   // fencing destroys work exactly like a real crash) drive the overhead
-  // ledger's MTBF and, in closed-loop mode, the autonomic estimator.
+  // ledger's MTBF and the autonomic estimator.
   accountant_.observe_failure(cluster_.now());
-  if (options_.closed_loop_interval) estimator_.observe_failure(cluster_.now());
+  estimator_.observe_failure(cluster_.now());
   const bool was_up = cluster_.node(node_id).up();
   if (was_up) {
     // False suspicion.  Fence: fail-stop the node before seeding a
@@ -500,16 +505,13 @@ void FleetManager::render_post_mortem(int slot_index) {
   const Shard& shard = shards_[static_cast<std::size_t>(slot.shard)];
   std::string body;
   bool from_journal = false;
-  if (shard.journal != nullptr) {
-    const auto payload =
-        shard.journal->flight_record_of(static_cast<std::uint64_t>(slot_index));
-    if (payload.has_value()) {
-      try {
-        body = obs::FlightRecorder::deserialize(*payload).post_mortem();
-        from_journal = true;
-      } catch (const util::SerializeError&) {
-        // Unreachable past the journal's CRC64 envelope; fall through.
-      }
+  const auto payload = shard.journal->flight_record_of(static_cast<std::uint64_t>(slot_index));
+  if (payload.has_value()) {
+    try {
+      body = obs::FlightRecorder::deserialize(*payload).post_mortem();
+      from_journal = true;
+    } catch (const util::SerializeError&) {
+      // Unreachable past the journal's CRC64 envelope; fall through.
     }
   }
   if (!from_journal) body = slot.flight.post_mortem();
@@ -691,7 +693,7 @@ void FleetManager::commit_phase(std::uint64_t window_index) {
       due.push_back(si);
     }
     if (due.empty()) continue;
-    const bool group = shard.journal != nullptr && !shard.journal->crashed();
+    const bool group = !shard.journal->crashed();
     if (group) shard.journal->begin_group();
     for (int si : due) {
       Slot& slot = slots_[static_cast<std::size_t>(si)];
@@ -751,8 +753,7 @@ void FleetManager::maintenance_phase(std::uint64_t window_index) {
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = shards_[s];
     // Staggered per shard so background work is level, like the commits.
-    if (shard.journal != nullptr && !shard.journal->crashed() &&
-        options_.migrate_every != 0 &&
+    if (!shard.journal->crashed() && options_.migrate_every != 0 &&
         (window_index + s) % options_.migrate_every == 0) {
       const auto mr = shard.journal->migrate(storage::ChargeFn{});
       report_.migrated_images += mr.images_drained;
@@ -793,7 +794,7 @@ void FleetManager::persist_flight(int slot_index, sim::SimKernel& kernel) {
   Slot& slot = slots_[static_cast<std::size_t>(slot_index)];
   storage::LogStructuredBackend* journal =
       shards_[static_cast<std::size_t>(slot.shard)].journal.get();
-  if (journal == nullptr || journal->crashed()) return;
+  if (journal->crashed()) return;
   const std::vector<std::byte> payload = slot.flight.serialize();
   if (journal->append_flight_record(static_cast<std::uint64_t>(slot_index), payload,
                                     [&kernel](SimTime t) { kernel.charge_time(t); })) {

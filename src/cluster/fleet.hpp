@@ -157,9 +157,8 @@ struct FleetOptions {
   std::uint64_t guest_steps_max = 6;
   /// Dense-writer guest array size (the checkpointed state).
   std::uint64_t array_bytes = 16 * 1024;
-  /// Commit through each shard's log-structured journal (group commit);
-  /// false = two-phase replicated publish per commit.
-  bool append_commit = true;
+  /// Geometry of each shard's log-structured journal: every commit appends
+  /// to it (group commit) and the migrator publishes it to the shard store.
   std::uint64_t journal_segment_bytes = 256 * 1024;
   std::uint32_t journal_segments = 24;
   /// Background migrator cadence, in windows (per shard, staggered).
@@ -176,16 +175,8 @@ struct FleetOptions {
   /// persisted through the shard journal around every commit, recovered and
   /// rendered as a post-mortem when the node is confirmed dead.
   std::uint32_t flight_capacity = obs::FlightRecorder::kDefaultCapacity;
-  /// Closed-loop autonomic interval: feed the fleet IntervalEstimator from
-  /// *detector confirmations* (measured failures, false confirms included)
-  /// instead of injector ground truth, so the interval derives entirely
-  /// from signals a real deployment could observe.  false = the legacy
-  /// ground-truth feed.
-  bool closed_loop_interval = true;
   /// Retry policy for the shard stores.
   storage::RetryPolicy store_retry;
-  /// Content-addressed dedup mode for the shard stores.
-  bool dedup = false;
   sim::CostModel costs;
   /// Observability sink (null = disabled): fleet.* metrics and spans, plus
   /// checkpoint/recovery spans from the RecoveryManager.  The trace clock

@@ -87,8 +87,8 @@ RecoveryManager::JobId RecoveryManager::adopt(int home, const std::string& guest
                                               std::vector<std::byte> config,
                                               const sim::SpawnOptions& spawn,
                                               const ExternalStoreBinding& binding) {
-  if (binding.store == nullptr) {
-    throw std::invalid_argument("RecoveryManager: adopt() needs a shared store");
+  if (binding.store == nullptr || binding.journal == nullptr) {
+    throw std::invalid_argument("RecoveryManager: adopt() needs a shared store and journal");
   }
   Node& node = cluster_.node(home);
   if (!node.up()) {
@@ -103,14 +103,10 @@ RecoveryManager::JobId RecoveryManager::adopt(int home, const std::string& guest
   job.pid = node.kernel().spawn(guest_type, std::move(config), spawn);
   job.store = binding.store;
   job.journal = binding.journal;
-  job.external = true;
-  // The chain writes through the journal when one fronts the store, so
-  // every commit is an append (group-commit eligible) and the migrator
-  // publishes into the shared store off the critical path.
-  storage::StorageBackend* chain_backend =
-      binding.journal != nullptr ? static_cast<storage::StorageBackend*>(binding.journal)
-                                 : binding.store;
-  job.chain = std::make_unique<storage::CheckpointChain>(chain_backend);
+  // The chain writes through the journal, so every commit is an append
+  // (group-commit eligible) and the migrator publishes into the shared
+  // store off the critical path.
+  job.chain = std::make_unique<storage::CheckpointChain>(binding.journal);
 
   const JobId id = next_job_++;
   jobs_.emplace(id, std::move(job));
@@ -120,10 +116,6 @@ RecoveryManager::JobId RecoveryManager::adopt(int home, const std::string& guest
 bool RecoveryManager::external_intact_committed(const Job& job) const {
   if (job.chain == nullptr) return false;
   for (const storage::CheckpointChain::Entry& entry : job.chain->entries()) {
-    if (job.journal == nullptr) {
-      if (job.store->intact_replicas(entry.id) > 0) return true;
-      continue;
-    }
     if (const auto home_id = job.journal->home_id_of(entry.id)) {
       if (job.store->intact_replicas(*home_id) > 0) return true;
     } else if (job.journal->load(entry.id, storage::ChargeFn{}).has_value()) {
@@ -251,7 +243,7 @@ RecoveryReport RecoveryManager::recover(JobId job_id, int preferred_target) {
     }
   }
 
-  if (!report.recovered && options_.allow_cold_start) {
+  if (!report.recovered) {
     RecoveryAttempt record;
     record.step = RecoveryStep::kColdStart;
     obs::SpanGuard cold_span(trace, "rung:cold-start", "recovery", obs::kControlTrack);
@@ -269,24 +261,25 @@ RecoveryReport RecoveryManager::recover(JobId job_id, int preferred_target) {
 
   // The gate: cold-starting (or failing outright) while a committed image
   // still has an intact replica means the ladder lost recoverable state.
-  // External jobs share their store with other jobs, so the audit is scoped
-  // to this job's own chain instead of the store-wide predicate.
+  // External (adopt(), journal-fronted) jobs share their store with other
+  // jobs, so the audit is scoped to this job's own chain instead of the
+  // store-wide predicate.
   const bool intact_exists =
-      job.external ? external_intact_committed(job) : job.store->any_intact_committed();
+      job.journal != nullptr ? external_intact_committed(job) : job.store->any_intact_committed();
   if (!report.from_image && intact_exists) {
     report.data_loss_with_intact_replica = true;
   }
 
   if (report.recovered) {
     job.home = report.target_node;
-    if (!job.external) {
+    if (job.journal == nullptr) {
       // Future checkpoints must land on the *new* home's disk; scrubbing
       // then re-replicates the committed history onto it (self-healing).
       // External jobs leave placement to the fleet: their store is shared
       // shard-wide and is retargeted once, when the shard's storage-home
       // node is replaced.
       job.store->retarget_replica(kLocalReplica, &cluster_.node(job.home).disk());
-      if (options_.scrub_after_recovery) job.store->scrub(charge);
+      job.store->scrub(charge);
     }
   }
 

@@ -85,10 +85,6 @@ struct RecoveryReport {
 struct RecoveryManagerOptions {
   /// Quorum / retry / verification for each job's replicated store.
   storage::ReplicatedOptions store;
-  bool allow_cold_start = true;
-  /// After failover, scrub the job's store so committed history is
-  /// re-replicated onto the replacement local disk.
-  bool scrub_after_recovery = true;
 };
 
 class RecoveryManager {
@@ -104,14 +100,15 @@ class RecoveryManager {
 
   /// Storage a fleet-managed job checkpoints through: a *shared* per-shard
   /// ReplicatedStore (replica 0 = the shard's storage-home disk, replica 1
-  /// = the shard remote), optionally fronted by the shard's log-structured
-  /// journal so commits ride its group-commit append path.  The manager
-  /// does not own either; replica placement (retarget + scrub) stays with
-  /// the caller, because retargeting a shared store per job would fight
-  /// between the jobs sharing it.
+  /// = the shard remote) fronted by the shard's log-structured journal, so
+  /// commits ride its group-commit append path and the caller's migrator
+  /// publishes them home.  Both are required.  The manager owns neither;
+  /// replica placement (retarget + scrub) and migration stay with the
+  /// caller, because retargeting a shared store per job would fight between
+  /// the jobs sharing it.
   struct ExternalStoreBinding {
     storage::ReplicatedStore* store = nullptr;
-    storage::LogStructuredBackend* journal = nullptr;  ///< null = direct two-phase
+    storage::LogStructuredBackend* journal = nullptr;
   };
 
   /// Like launch(), but the job checkpoints through a caller-owned shared
@@ -160,9 +157,9 @@ class RecoveryManager {
     sim::SpawnOptions spawn;
     std::unique_ptr<storage::ReplicatedStore> owned_store;  ///< launch() jobs only
     storage::ReplicatedStore* store = nullptr;  ///< owned_store or the shared store
-    storage::LogStructuredBackend* journal = nullptr;  ///< adopt() jobs, optional
+    /// adopt() jobs only: shared store, caller-managed placement.
+    storage::LogStructuredBackend* journal = nullptr;
     std::unique_ptr<storage::CheckpointChain> chain;
-    bool external = false;  ///< adopt(): shared store, caller-managed placement
     std::uint64_t checkpoints = 0;
   };
 

@@ -113,10 +113,10 @@ CheckpointImage capture_kernel_level(sim::SimKernel& kernel, sim::Process& proc,
 // ---------------------------------------------------------------------------
 
 PagedCaptureSession::PagedCaptureSession(sim::SimKernel& kernel, sim::Process& proc,
-                                         CaptureOptions options)
-    : kernel_(kernel), proc_(proc), options_(std::move(options)) {
-  capture_image_metadata(kernel_, proc_, options_, image_);
-  plan_ = build_capture_plan(proc_, options_, image_);
+                                         const CaptureOptions& options)
+    : kernel_(kernel), proc_(proc) {
+  capture_image_metadata(kernel_, proc_, options, image_);
+  plan_ = build_capture_plan(proc_, options, image_);
 }
 
 bool PagedCaptureSession::copy_some(std::size_t max_pages) {
@@ -145,7 +145,7 @@ bool PagedCaptureSession::copy_some(std::size_t max_pages) {
 
 CheckpointImage PagedCaptureSession::take_image() {
   if (!done()) throw std::logic_error("PagedCaptureSession: capture incomplete");
-  if (options_.clear_dirty_bits) proc_.aspace->clear_dirty_bits();
+  proc_.aspace->clear_dirty_bits();
   return std::move(image_);
 }
 

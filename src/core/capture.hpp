@@ -46,8 +46,6 @@ struct CaptureOptions {
   bool skip_code_segment = true;
   /// Snapshot regular-file contents into the image (UCLiK, PsncR/C).
   bool save_file_contents = false;
-  /// Clear MMU dirty bits once captured.
-  bool clear_dirty_bits = true;
 };
 
 /// Capture in kernel mode with direct task-structure access.
@@ -82,7 +80,8 @@ void restore_into_process(sim::SimKernel& kernel, sim::Process& proc,
 /// payloads are copied across successive copy_some() calls.
 class PagedCaptureSession {
  public:
-  PagedCaptureSession(sim::SimKernel& kernel, sim::Process& proc, CaptureOptions options);
+  PagedCaptureSession(sim::SimKernel& kernel, sim::Process& proc,
+                      const CaptureOptions& options);
 
   /// Copy up to `max_pages` more page payloads.  Returns true when done.
   bool copy_some(std::size_t max_pages);
@@ -91,13 +90,12 @@ class PagedCaptureSession {
   [[nodiscard]] std::size_t pages_total() const { return plan_.size(); }
   [[nodiscard]] std::size_t pages_copied() const { return cursor_; }
 
-  /// Finalize and take the image (valid once done()).
+  /// Clear the MMU dirty bits and take the image (valid once done()).
   storage::CheckpointImage take_image();
 
  private:
   sim::SimKernel& kernel_;
   sim::Process& proc_;
-  CaptureOptions options_;
   storage::CheckpointImage image_;
   std::vector<std::pair<std::size_t, DirtyRange>> plan_;  ///< (segment idx, range)
   std::size_t cursor_ = 0;

@@ -4,7 +4,6 @@
 
 #include "obs/observer.hpp"
 #include "storage/dedup.hpp"
-#include "storage/journal.hpp"
 #include "storage/replicated.hpp"
 #include "util/log.hpp"
 #include "util/serialize.hpp"
@@ -137,13 +136,20 @@ CheckpointEngine::CheckpointEngine(std::string name, storage::StorageBackend* ba
   if (options_.incremental && !options_.tracker_factory) {
     throw std::invalid_argument("CheckpointEngine: incremental requires a tracker factory");
   }
-  if (options_.streaming && options_.consistency != ConsistencyMode::kForkAndCopy) {
+  if (!options_.streaming) return;
+  if (options_.consistency != ConsistencyMode::kForkAndCopy) {
     throw std::invalid_argument(
         "CheckpointEngine: streaming requires kForkAndCopy consistency (the frozen "
         "shadow is the capture source the guest runs ahead of)");
   }
-  if (options_.streaming && options_.stream_chunk_pages == 0) {
+  if (options_.stream_chunk_pages == 0) {
     throw std::invalid_argument("CheckpointEngine: stream_chunk_pages must be >= 1");
+  }
+  stream_store_ = backend_->stream_target();
+  if (stream_store_ == nullptr) {
+    throw std::invalid_argument(
+        "CheckpointEngine: streaming requires a flat (non-dedup) ReplicatedStore "
+        "backend (the only store that takes an image chunk by chunk)");
   }
 }
 
@@ -332,9 +338,7 @@ CheckpointResult CheckpointEngine::perform_kernel_checkpoint(sim::SimKernel& ker
     result.pause_ns = kernel.effective_now() - pause_origin;
   }
 
-  auto* replicated = dynamic_cast<storage::ReplicatedStore*>(backend_);
-  const bool streamed =
-      options_.streaming && replicated != nullptr && !replicated->dedup_enabled();
+  const bool streamed = stream_store_ != nullptr;
 
   if (trace != nullptr) trace->begin("capture", "ckpt", track);
   storage::CheckpointImage image;
@@ -421,7 +425,7 @@ CheckpointResult CheckpointEngine::perform_kernel_checkpoint(sim::SimKernel& ker
       source.trailer = std::move(trailer).take();
       source.chunk_count = pieces.size();
       source.produce = produce;
-      return replicated->store_streamed(source, [&](SimTime t) { kernel.charge_time(t); }).id;
+      return stream_store_->store_streamed(source, [&](SimTime t) { kernel.charge_time(t); }).id;
     };
   } else {
     image = capture_kernel_level(kernel, *capture_target, capture);
@@ -580,24 +584,6 @@ CheckpointEngine::CommitPoint CheckpointEngine::store_step(
       metrics.add("gc.images_pruned", before - state.chain.length());
       metrics.add("gc.chunks_freed", chunks_freed);
       metrics.add("gc.bytes_freed", bytes_freed);
-    }
-  }
-
-  // Append-commit drain: the image is already durable in the log, so the
-  // migrator publishes it to the home store after the commit point — its
-  // charges extend the kernel clock but never the commit latency.
-  if (options_.append_commit) {
-    if (auto* journal = dynamic_cast<storage::LogStructuredBackend*>(backend_)) {
-      obs::SpanGuard drain_span(trace, "journal.drain", "ckpt", track);
-      const storage::LogStructuredBackend::MigrateReport drained = journal->migrate(charge);
-      if (observer != nullptr) {
-        obs::MetricsRegistry& metrics = observer->metrics();
-        metrics.add("journal.drain_runs");
-        metrics.add("journal.drained_images", drained.images_drained);
-        metrics.add("journal.drained_bytes", drained.bytes_drained);
-      }
-      drain_span.end({obs::TraceArg::num("drained", drained.images_drained),
-                      obs::TraceArg::num("reclaimed", drained.segments_reclaimed)});
     }
   }
   return committed;

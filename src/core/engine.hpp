@@ -73,24 +73,16 @@ struct EngineOptions {
   /// Honoured by every engine family (kernel-mode, kernel-thread and
   /// user-level).
   bool prune_after_full = false;
-  /// Append-commit mode (the CapROS direction): when the backend is a
-  /// storage::LogStructuredBackend, each successful checkpoint drains the
-  /// journal's migrator right after the commit point.  The drain's charges
-  /// land on the kernel clock *after* the commit latency was measured, so
-  /// CheckpointResult::total_latency covers only the sequential log append —
-  /// chunk placement in the home store happens off the critical path.
-  /// Ignored for every other backend.  Honoured by every engine family.
-  bool append_commit = false;
   /// Streaming commit (requires kForkAndCopy): capture pages from the
   /// frozen COW shadow, encode them in chunks and append each chunk to the
   /// replicas *as it is produced* (ReplicatedStore::store_streamed), instead
   /// of capture → serialize → store running phase-sequential.  The guest
   /// resumes after the fork's page-table walk; the whole transfer overlaps
-  /// its execution.  Requires a flat (non-dedup) ReplicatedStore backend;
-  /// any other backend falls back to classic capture+store from the shadow,
-  /// which still gets the O(page-table-walk) pause.  Kernel-mode engines
-  /// only (perform_kernel_checkpoint: syscall and kernel-signal engines);
-  /// KernelThreadEngine and UserLevelEngine refuse it at construction.
+  /// its execution.  Requires a backend with a stream target (a flat,
+  /// non-dedup ReplicatedStore); the constructor throws for any other.
+  /// Kernel-mode engines only (perform_kernel_checkpoint: syscall and
+  /// kernel-signal engines); KernelThreadEngine and UserLevelEngine refuse
+  /// it at construction.
   bool streaming = false;
   /// Page payloads per streamed chunk.  Chunking is fixed by this knob
   /// alone — never by worker count — so streamed blobs are byte-identical
@@ -232,8 +224,8 @@ class CheckpointEngine {
   CapturePlan plan_capture(sim::SimKernel& kernel, sim::Process& proc, ProcState& state);
 
   /// Kernel clock and in-step charge at a store step's commit point: after
-  /// the tracking interval restarted, before prune/GC and the journal drain
-  /// — where every family's total_latency() closes.
+  /// the tracking interval restarted, before prune/GC — where every
+  /// family's total_latency() closes.
   struct CommitPoint {
     SimTime clock = 0;
     SimTime step_charge = 0;
@@ -251,9 +243,8 @@ class CheckpointEngine {
   ///  3. on success count the checkpoint and restart `proc`'s tracking
   ///     interval (`proc` may be null when the target is gone), then stamp
   ///     the commit point;
-  ///  4. prune + GC after a full image (prune_after_full) and drain the
-  ///     journal (append_commit) — charged after the commit point, so they
-  ///     never count toward total_latency().
+  ///  4. prune + GC after a full image (prune_after_full) — charged after
+  ///     the commit point, so it never counts toward total_latency().
   CommitPoint store_step(sim::SimKernel& kernel, ProcState& state, sim::Pid pid,
                          sim::Process* proc, storage::CheckpointImage&& image,
                          const storage::CheckpointChain::StoreFn& stream_fn,
@@ -271,6 +262,8 @@ class CheckpointEngine {
   std::string name_;
   storage::StorageBackend* backend_;
   EngineOptions options_;
+  /// backend_->stream_target(), resolved once; non-null iff streaming.
+  storage::ReplicatedStore* stream_store_ = nullptr;
   std::map<sim::Pid, std::unique_ptr<ProcState>> states_;
   std::map<std::uint64_t, std::optional<CheckpointResult>> tickets_;
   std::uint64_t next_ticket_ = 1;

@@ -158,12 +158,6 @@ TortureReport TortureHarness::run(const TortureTarget& target) {
         "TortureHarness: journal requires replicated_storage (the migrator needs "
         "a durable home store to drain into)");
   }
-  if (options_.streaming &&
-      (!options_.replicated_storage || options_.dedup || options_.journal)) {
-    throw std::invalid_argument(
-        "TortureHarness: streaming requires replicated_storage without dedup or "
-        "journal (the streamed commit path needs a flat ReplicatedStore)");
-  }
   if (options_.replicated_storage) {
     if (options_.replicas < 2) {
       throw std::invalid_argument(
@@ -209,7 +203,8 @@ TortureReport TortureHarness::run(const TortureTarget& target) {
 
   // Streaming mode: the catalog mechanism still launches the guest, but
   // every checkpoint and restart goes through this streaming-COW engine
-  // writing chunk-by-chunk into the replicated store.
+  // writing chunk-by-chunk into the replicated store (its constructor
+  // refuses any other backend).
   std::unique_ptr<core::SyscallEngine> stream_engine;
   core::CheckpointEngine* ckpt_engine = mech->engine();
   if (options_.streaming) {

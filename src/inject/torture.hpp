@@ -101,9 +101,10 @@ struct TortureOptions {
   /// mechanism's engine.  Storage faults are armed with an rng-drawn
   /// skip-op count so they land *mid-stream* — between chunk appends, not
   /// at the whole-blob write.  Requires replicated_storage without dedup or
-  /// journal (the streamed path needs a flat ReplicatedStore); the harness
-  /// throws std::invalid_argument otherwise.  All soak invariants — and the
-  /// 1-vs-8-worker report identity — must hold unchanged.
+  /// journal (the streamed path needs a flat ReplicatedStore); the engine's
+  /// constructor throws std::invalid_argument otherwise.  All soak
+  /// invariants — and the 1-vs-8-worker report identity — must hold
+  /// unchanged.
   bool streaming = false;
   /// Observability sink (null = disabled).  Attached to the per-engine
   /// kernel and the replicated store, so a soak produces a per-cycle

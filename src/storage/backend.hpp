@@ -43,6 +43,8 @@ const char* to_string(StorageLocality locality);
 /// Callback charging simulated time to whatever context performs the I/O.
 using ChargeFn = std::function<void(SimTime)>;
 
+class ReplicatedStore;
+
 class StorageBackend {
  public:
   virtual ~StorageBackend() = default;
@@ -61,6 +63,11 @@ class StorageBackend {
 
   /// Total stored bytes (capacity accounting in benches).
   [[nodiscard]] virtual std::uint64_t stored_bytes() const = 0;
+
+  /// The store a streaming commit appends into chunk by chunk, or null when
+  /// this backend only takes whole images.  Engines resolve it once, at
+  /// construction, and refuse streaming when it is null.
+  [[nodiscard]] virtual ReplicatedStore* stream_target() { return nullptr; }
 };
 
 /// Injected failure mode for the next store() on a BlobStoreBackend.

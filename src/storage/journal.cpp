@@ -59,7 +59,6 @@ LogStructuredBackend::LogStructuredBackend(StorageBackend* home, JournalOptions 
   if (options_.segment_bytes < 2 * (kOpenRecordBytes + kSealRecordBytes)) {
     throw std::invalid_argument("journal segment_bytes too small");
   }
-  options_.encoding.observer = nullptr;  // per-store tables stay silent
   media_.segment_bytes = options_.segment_bytes;
   media_.slots.assign(options_.segments,
                       std::vector<std::byte>(options_.segment_bytes, std::byte{0}));
@@ -302,8 +301,9 @@ ImageId LogStructuredBackend::store(const CheckpointImage& image, const ChargeFn
   // A fresh table per commit keeps the group self-contained: every chunk the
   // manifest references is a kChunk record inside the same contiguous run,
   // so recovery never needs cross-group state.  Cross-image dedup happens at
-  // the home store after migration.
-  ChunkTable table(options_.encoding);
+  // the home store after migration.  Default knobs, no observer: per-store
+  // tables must not emit dedup.* noise.
+  ChunkTable table(DedupOptions{});
   const ChunkTable::EncodedImage enc = table.encode(image);
   util::Serializer commit_body;
   const ImageId id = next_id_;

@@ -70,9 +70,6 @@ struct JournalOptions {
   util::ThreadPool* pool = nullptr;
   /// Observability sink (null = disabled): journal.* spans and counters.
   obs::Observer* observer = nullptr;
-  /// Chunk-encoder knobs for the per-commit encoding (the observer field is
-  /// ignored — per-store tables must not emit dedup.* noise).
-  DedupOptions encoding;
   /// Device cost model for append/sync/scan charges.
   sim::CostModel costs;
 };

@@ -56,9 +56,7 @@ ReplicatedStore::ReplicatedStore(std::vector<BlobStoreBackend*> replicas,
     // The table is pure host-side identity bookkeeping shared by all
     // replicas; metrics go through options_.observer from this layer, so
     // the table's own observer hook stays disabled.
-    DedupOptions table_options = options_.dedup_options;
-    table_options.observer = nullptr;
-    table_ = std::make_unique<ChunkTable>(table_options);
+    table_ = std::make_unique<ChunkTable>(DedupOptions{});
   }
 }
 

@@ -117,9 +117,6 @@ struct ReplicatedOptions {
   /// order, so replica contents, traces and sim-time are byte-identical for
   /// any worker count.
   bool dedup = false;
-  /// Chunking knobs for dedup mode.  The observer field inside is ignored —
-  /// ReplicatedStore emits dedup.* metrics through `observer` above.
-  DedupOptions dedup_options;
 };
 
 /// Outcome detail for one logical store (store() itself keeps the plain
@@ -174,6 +171,11 @@ class ReplicatedStore final : public StorageBackend, public ChunkReclaimable {
   /// Durable bytes summed across replicas (dedup mode: manifests + chunk
   /// blobs, including not-yet-collected garbage).
   [[nodiscard]] std::uint64_t stored_bytes() const override;
+  /// This store in flat mode; null in dedup mode, whose chunking needs the
+  /// whole image before anything is staged.
+  [[nodiscard]] ReplicatedStore* stream_target() override {
+    return dedup_enabled() ? nullptr : this;
+  }
 
   // --- Replication-aware paths ------------------------------------------------
   StoreReceipt store_verbose(const CheckpointImage& image, const ChargeFn& charge);

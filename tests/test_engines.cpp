@@ -586,11 +586,17 @@ TEST_P(StoreStepTest, PruneAfterFullBoundsTheChainAndCollectsChunks) {
 }
 
 TEST_P(StoreStepTest, StreamingIsRefusedUpFront) {
-  storage::LocalDiskBackend backend{sim::CostModel{}};
+  // A flat ReplicatedStore passes the base engine's backend check, so the
+  // refusal pinned here is the family's own.
+  sim::CostModel costs;
+  storage::RemoteBackend replica_a{costs};
+  storage::RemoteBackend replica_b{costs};
+  storage::ReplicatedStore store({&replica_a, &replica_b}, storage::ReplicatedOptions{});
+  ASSERT_NE(store.stream_target(), nullptr);
   EngineOptions options;
   options.consistency = ConsistencyMode::kForkAndCopy;
   options.streaming = true;
-  EXPECT_THROW(make_engine(&backend, options), std::invalid_argument);
+  EXPECT_THROW(make_engine(&store, options), std::invalid_argument);
 }
 
 INSTANTIATE_TEST_SUITE_P(Families, StoreStepTest,

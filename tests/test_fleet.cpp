@@ -220,6 +220,26 @@ TEST_F(FleetTest, WorkerCountNeverChangesReportsMetricsOrTraces) {
   EXPECT_EQ(obs1.trace().export_chrome_json(), obs8.trace().export_chrome_json());
 }
 
+TEST_F(FleetTest, GeometryItCannotHonourIsRejected) {
+  const auto rejects = [](auto&& edit) {
+    FleetOptions options = small_options();
+    edit(options);
+    EXPECT_THROW(FleetManager{options}, std::invalid_argument);
+  };
+  rejects([](FleetOptions& o) { o.active_nodes = 0; });
+  rejects([](FleetOptions& o) { o.spare_nodes = -1; });
+  rejects([](FleetOptions& o) { o.shards = 0; });
+  rejects([](FleetOptions& o) { o.shards = -2; });
+  // More shards than active nodes: a shard with no slot and no storage home.
+  rejects([](FleetOptions& o) { o.shards = o.active_nodes + 1; });
+  rejects([](FleetOptions& o) { o.shards = o.active_nodes + o.spare_nodes + 1; });
+
+  FleetOptions one_slot_per_shard = small_options();
+  one_slot_per_shard.shards = one_slot_per_shard.active_nodes;
+  FleetManager fleet(one_slot_per_shard);
+  EXPECT_TRUE(fleet.run(2).ok());
+}
+
 TEST_F(FleetTest, ReportSummaryAndMetricsNameTheOutcome) {
   obs::Observer observer;
   FleetOptions options = small_options();

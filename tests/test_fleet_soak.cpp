@@ -161,7 +161,6 @@ TEST_F(FleetSoak, MeasuredMtbfIntervalConvergesOnAnalyticYoung) {
   options.guest_steps_min = 1;
   options.guest_steps_max = 3;
   options.array_bytes = 4 * 1024;
-  ASSERT_TRUE(options.closed_loop_interval);  // the default under test
 
   FleetManager fleet(options);
   fleet.run(3);  // warm-up: every slot commits, cost estimate seeds

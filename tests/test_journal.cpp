@@ -595,7 +595,7 @@ TEST(JournalDeterminism, GroupCommitIsBitIdenticalForAnyWorkerCount) {
   EXPECT_EQ(drive_group_commit(&eight), baseline);
 }
 
-// --- Engine wiring (EngineOptions::append_commit) ----------------------------
+// --- Engine wiring: the caller owns the drain -------------------------------
 
 class JournalEngineTest : public ckpt::test::SimTest {
  protected:
@@ -604,32 +604,28 @@ class JournalEngineTest : public ckpt::test::SimTest {
   LocalDiskBackend home_{costs_};
 };
 
-TEST_F(JournalEngineTest, AppendCommitModeDrainsTheJournalAtTheCommitPoint) {
+TEST_F(JournalEngineTest, EngineCommitStaysLogResidentUntilMigrate) {
   LogStructuredBackend journal(&home_, {});
-  core::EngineOptions options;
-  options.append_commit = true;
-  core::SyscallEngine engine("epckpt", &journal, options, kernel_,
+  core::SyscallEngine engine("epckpt", &journal, {}, kernel_,
                              core::SyscallEngine::TargetMode::kByPid, nullptr);
   const sim::Pid pid = kernel_.spawn(sim::CounterGuest::kTypeName);
   ckpt::test::run_steps(kernel_, pid, 5);
   const core::CheckpointResult result = engine.request_checkpoint(kernel_, pid);
   ASSERT_TRUE(result.ok) << result.error;
-  // The commit landed in the log and the post-commit drain migrated it home.
+  // The commit point is the log append; the engine never drains.
+  EXPECT_EQ(journal.resident_images(), 1u);
+  EXPECT_EQ(journal.migrated_images(), 0u);
+  EXPECT_TRUE(home_.list().empty());
+  EXPECT_FALSE(journal.home_id_of(result.image_id).has_value());
+
+  // The caller's migrator publishes it home, under the same journal id.
+  const LogStructuredBackend::MigrateReport drained = journal.migrate(ChargeFn{});
+  EXPECT_EQ(drained.images_drained, 1u);
   EXPECT_EQ(journal.resident_images(), 0u);
   EXPECT_EQ(journal.migrated_images(), 1u);
   EXPECT_EQ(home_.list().size(), 1u);
-}
-
-TEST_F(JournalEngineTest, AppendCommitIsIgnoredForNonJournalBackends) {
-  core::EngineOptions options;
-  options.append_commit = true;
-  core::SyscallEngine engine("epckpt", &home_, options, kernel_,
-                             core::SyscallEngine::TargetMode::kByPid, nullptr);
-  const sim::Pid pid = kernel_.spawn(sim::CounterGuest::kTypeName);
-  ckpt::test::run_steps(kernel_, pid, 5);
-  const core::CheckpointResult result = engine.request_checkpoint(kernel_, pid);
-  ASSERT_TRUE(result.ok) << result.error;
-  EXPECT_EQ(home_.list().size(), 1u);
+  EXPECT_TRUE(journal.home_id_of(result.image_id).has_value());
+  EXPECT_TRUE(journal.load(result.image_id, ChargeFn{}).has_value());
 }
 
 // --- The crash-point replay harness (the headline deliverable) ---------------

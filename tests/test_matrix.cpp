@@ -32,6 +32,11 @@ std::string case_name(const MatrixCase& c) {
   return out;
 }
 
+// ctest names a TEST_P after gtest's listing of its parameter.  The default
+// printer dumps the struct's bytes, addresses included, which would rename
+// the tests on every rebuild; print the case name instead.
+void PrintTo(const MatrixCase& c, std::ostream* os) { *os << case_name(c); }
+
 class RoundTripMatrix : public ::testing::TestWithParam<MatrixCase> {
  protected:
   void SetUp() override { sim::register_standard_guests(); }

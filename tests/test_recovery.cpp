@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/recovery.hpp"
+#include "storage/journal.hpp"
 #include "test_common.hpp"
 
 namespace ckpt::cluster {
@@ -248,6 +249,27 @@ TEST_F(RecoveryTest, ReportSummaryNamesTheLadderOutcome) {
   EXPECT_NE(summary.find("local-newest=fail"), std::string::npos) << summary;
   EXPECT_NE(summary.find("remote-newest=ok"), std::string::npos) << summary;
   EXPECT_EQ(summary.find("DATA LOSS"), std::string::npos) << summary;
+}
+
+TEST_F(RecoveryTest, AdoptRequiresASharedStoreAndItsJournal) {
+  storage::RemoteBackend remote{sim::CostModel{}};
+  storage::ReplicatedStore store({&cluster_.node(0).disk(), &remote},
+                                 storage::ReplicatedOptions{});
+  storage::LogStructuredBackend journal(&store, {});
+  const sim::SpawnOptions spawn;
+  using Binding = RecoveryManager::ExternalStoreBinding;
+  const auto adopt = [&](Binding binding) {
+    return manager_.adopt(0, sim::CounterGuest::kTypeName, {}, spawn, binding);
+  };
+  EXPECT_THROW(adopt(Binding{&store, nullptr}), std::invalid_argument);
+  EXPECT_THROW(adopt(Binding{nullptr, &journal}), std::invalid_argument);
+
+  // A bound job commits by appending to the journal; the caller migrates.
+  const RecoveryManager::JobId job = adopt(Binding{&store, &journal});
+  ckpt::test::run_steps(cluster_.node(0).kernel(), manager_.pid_of(job), 20);
+  ASSERT_TRUE(manager_.checkpoint(job));
+  EXPECT_EQ(journal.resident_images(), 1u);
+  EXPECT_TRUE(store.list().empty());
 }
 
 TEST_F(RecoveryTest, UnknownJobIsRejected) {

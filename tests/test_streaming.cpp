@@ -16,6 +16,7 @@
 //     to baseline.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <optional>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "core/systemlevel.hpp"
 #include "inject/injectors.hpp"
 #include "sim/guests.hpp"
+#include "storage/journal.hpp"
 #include "storage/replicated.hpp"
 #include "test_common.hpp"
 #include "util/threadpool.hpp"
@@ -398,22 +400,30 @@ TEST_F(StreamingTest, StreamingRequiresForkAndCopy) {
                std::invalid_argument);
 }
 
-TEST_F(StreamingTest, NonReplicatedBackendFallsBackToClassicStore) {
-  // streaming over a plain blob store degrades gracefully: classic capture
-  // from the shadow, same image, still the short fork pause.
+TEST_F(StreamingTest, BackendsThatCannotStreamAreRefusedAtConstruction) {
+  // Only a flat ReplicatedStore takes an image chunk by chunk.  Any other
+  // backend is refused up front rather than silently demoted to a classic
+  // store.
   sim::SimKernel kernel(2, sim::CostModel{}, 0x57);
-  storage::LocalDiskBackend backend(kernel.costs());
+  storage::LocalDiskBackend local(kernel.costs());
+  storage::RemoteBackend remote(kernel.costs());
+  storage::ReplicatedOptions dedup_options;
+  dedup_options.dedup = true;
+  storage::ReplicatedStore dedup_store({&local, &remote}, dedup_options);
+  storage::LogStructuredBackend journal(&dedup_store, {});
+  storage::ReplicatedStore flat_store({&local, &remote}, storage::ReplicatedOptions{});
+  storage::LogStructuredBackend flat_journal(&flat_store, {});
   EngineOptions engine_options;
   engine_options.consistency = ConsistencyMode::kForkAndCopy;
   engine_options.streaming = true;
-  SyscallEngine engine("fallback", &backend, engine_options, kernel,
-                       SyscallEngine::TargetMode::kByPid, nullptr);
-  sim::register_standard_guests();
-  const sim::Pid pid = kernel.spawn(sim::CounterGuest::kTypeName);
-  run_steps(kernel, pid, 5);
-  const CheckpointResult cr = engine.request_checkpoint(kernel, pid);
-  ASSERT_TRUE(cr.ok) << cr.error;
-  EXPECT_TRUE(backend.load(cr.image_id, nullptr).has_value());
+  for (storage::StorageBackend* backend : std::initializer_list<storage::StorageBackend*>{
+           &local, &dedup_store, &journal, &flat_journal}) {
+    EXPECT_THROW(SyscallEngine("refused", backend, engine_options, kernel,
+                               SyscallEngine::TargetMode::kByPid, nullptr),
+                 std::invalid_argument);
+  }
+  EXPECT_NO_THROW(SyscallEngine("flat", &flat_store, engine_options, kernel,
+                                SyscallEngine::TargetMode::kByPid, nullptr));
 }
 
 }  // namespace

@@ -324,9 +324,9 @@ TEST(TortureStorage, StreamingWorkerCountNeverChangesTheSoak) {
 }
 
 TEST(TortureStorage, StreamingRequiresFlatReplication) {
-  // The streamed commit path appends into a flat ReplicatedStore; without
-  // replication there is nothing to stream to, and dedup or journal would
-  // silently fall back to the classic path, demoting the claim under test.
+  // The streamed commit path appends into a flat ReplicatedStore; the
+  // streaming engine refuses a bare disk, a dedup store or a journal at
+  // construction instead of demoting the claim under test.
   TortureOptions options = replicated_options();
   options.streaming = true;
   options.replicated_storage = false;
@@ -334,6 +334,10 @@ TEST(TortureStorage, StreamingRequiresFlatReplication) {
                std::invalid_argument);
   options.replicated_storage = true;
   options.dedup = true;
+  EXPECT_THROW(TortureHarness(options).run(TortureTarget{"CRAK", nullptr}),
+               std::invalid_argument);
+  options.dedup = false;
+  options.journal = true;
   EXPECT_THROW(TortureHarness(options).run(TortureTarget{"CRAK", nullptr}),
                std::invalid_argument);
 }
