@@ -1,5 +1,6 @@
 // Content-addressed dedup: durable bytes per commit across a dirty-rate
-// sweep, flat blob path vs DedupStore on the same image sequence.
+// sweep, flat blob path vs a one-replica dedup ReplicatedStore on the same
+// image sequence.
 //
 // The survey's incremental-checkpointing claim (§3.3) is about *capture*
 // volume; the dedup store extends it to *durable* volume: even a full-image
@@ -17,7 +18,6 @@
 
 #include "bench_common.hpp"
 #include "storage/backend.hpp"
-#include "storage/dedup.hpp"
 #include "storage/image.hpp"
 #include "storage/replicated.hpp"
 #include "util/rng.hpp"
@@ -71,7 +71,8 @@ struct Sample {
 
 /// Store the same full-image sequence (a rotating `dirty` fraction of pages
 /// rewritten with fresh random content between commits) through a flat blob
-/// backend and a DedupStore, and compare durable media growth per commit.
+/// backend and a one-replica dedup ReplicatedStore, and compare durable media
+/// growth per commit.
 Sample measure(double dirty) {
   util::Rng rng(0xDED0 + static_cast<std::uint64_t>(dirty * 1000));
   std::vector<std::vector<std::byte>> pages;
@@ -81,7 +82,9 @@ Sample measure(double dirty) {
   sim::CostModel costs{};
   storage::LocalDiskBackend flat{costs};
   storage::LocalDiskBackend media{costs};
-  storage::DedupStore dedup{&media};
+  storage::ReplicatedOptions dedup_options;
+  dedup_options.dedup = true;
+  storage::ReplicatedStore dedup({&media}, dedup_options);
 
   storage::CheckpointImage image = image_of(pages, 0);
   if (flat.store(image, nullptr) == storage::kBadImageId) std::exit(1);

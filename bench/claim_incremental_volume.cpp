@@ -6,15 +6,16 @@
 // checkpointed with full images and with kernel write-protect incremental
 // tracking.  Series: bytes written to storage per checkpoint.
 // The "durable" columns replay the same workload with the engine writing
-// through a content-addressed DedupStore (storage/dedup): stored media bytes
-// per checkpoint, which dedup shrinks further than capture-side tracking
-// alone (unchanged captured pages dedup away; changed pages delta-encode).
+// through a one-replica dedup ReplicatedStore (storage/dedup): stored media
+// bytes per checkpoint, which dedup shrinks further than capture-side
+// tracking alone (unchanged captured pages dedup away; changed pages
+// delta-encode).
 #include <cstdio>
 
 #include "bench_common.hpp"
 #include "core/incremental.hpp"
 #include "core/systemlevel.hpp"
-#include "storage/dedup.hpp"
+#include "storage/replicated.hpp"
 
 using namespace ckpt;
 
@@ -24,13 +25,15 @@ struct Volumes {
   std::uint64_t full = 0;
   std::uint64_t delta = 0;
   std::uint64_t durable_flat = 0;   ///< stored bytes per incremental, flat blobs
-  std::uint64_t durable_dedup = 0;  ///< stored bytes per incremental, DedupStore
+  std::uint64_t durable_dedup = 0;  ///< stored bytes per incremental, dedup store
 };
 
 Volumes measure(const char* guest, double working_set, bool dedup) {
   sim::SimKernel kernel;
   storage::LocalDiskBackend backend{kernel.costs()};
-  storage::DedupStore dedup_store{&backend};
+  storage::ReplicatedOptions dedup_options;
+  dedup_options.dedup = true;
+  storage::ReplicatedStore dedup_store({&backend}, dedup_options);
   core::EngineOptions options;
   options.incremental = true;
   options.tracker_factory = [] { return std::make_unique<core::KernelWpTracker>(); };

@@ -23,7 +23,7 @@
 #    measures enabled-vs-disabled tracing on the commit loop and archives
 #    BENCH_obs.json; enabled tracing above 2% overhead fails the build.
 # 6. dedup gate: bench_dedup stores the same dirty-rate image sweep through
-#    the flat blob path and the content-addressed DedupStore and archives
+#    the flat blob path and a one-replica dedup ReplicatedStore and archives
 #    BENCH_dedup.json.  Hard-fails if durable bytes per commit at a 10%
 #    dirty rate exceed 0.3x the flat path, if any round-trip is not
 #    bit-identical, or if replicated dedup replica contents differ between
@@ -69,6 +69,10 @@
 #    intra-repo markdown link in the top-level docs must resolve — both
 #    the path and, for links with a #fragment, a matching heading anchor
 #    in the target document.
+# 14. verdict gate: every verdict-printing bench (each claim_* binary,
+#    ablation_trackers and table1_feature_matrix) must exit 0, print at
+#    least one [HOLDS] verdict and no [DEVIATES] verdict — the
+#    EXPERIMENTS.md claims stay checked, not just recorded.
 #
 # Every BENCH_*.json artifact a gate writes (pipeline, obs, dedup, journal,
 # fleet, pause, mpi) lands at the repo root and is tracked in git, so a
@@ -323,3 +327,18 @@ for doc in README.md ARCHITECTURE.md DESIGN.md EXPERIMENTS.md ROADMAP.md; do
   done < <(grep -o '](\([^)]*\))' "${doc}" | sed 's/^](\(.*\))$/\1/')
 done
 echo "docs lint: module maps complete, section numbering contiguous, links and anchors resolve"
+
+# Verdict gate: the claims EXPERIMENTS.md records as HOLDS must still hold.
+VERDICTS=0
+for bench in build/bench/claim_* build/bench/ablation_trackers build/bench/table1_feature_matrix; do
+  if ! OUTPUT="$("${bench}")"; then
+    echo "CI gate: ${bench} exited non-zero" >&2
+    exit 1
+  fi
+  if grep -q '^\[DEVIATES\]' <<<"${OUTPUT}" || ! grep -q '^\[HOLDS\]' <<<"${OUTPUT}"; then
+    echo "CI gate: ${bench} printed a [DEVIATES] verdict or none at all" >&2
+    exit 1
+  fi
+  VERDICTS=$((VERDICTS + 1))
+done
+echo "verdict gate: ${VERDICTS} benches, every verdict HOLDS"

@@ -65,7 +65,7 @@ struct EngineOptions {
   storage::RetryPolicy store_retry;
   /// After each successful *full* checkpoint, prune the chain down to its
   /// fallback-keep set (CheckpointChain::live_set) and, when the backend is
-  /// ChunkReclaimable (DedupStore, ReplicatedStore in dedup mode), collect
+  /// ChunkReclaimable (a dedup ReplicatedStore, a journal), collect
   /// unreferenced content chunks — so dropping old sequence points actually
   /// returns media bytes.  The verification loads and GC charge sim time
   /// through the checkpointing context like every other storage access, but

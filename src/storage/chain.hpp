@@ -67,10 +67,10 @@ class CheckpointChain {
   /// Backend ids of the entries the restart path may still need — the
   /// "fallback-keep set": everything from the newest verified-loadable full
   /// image onward, or every entry when no full image verifies.  prune()
-  /// keeps exactly this set, and chunk GC (DedupStore::gc) can only reclaim
-  /// content no id in this set references, because references are released
-  /// strictly per erased image.  Sharing the walk keeps the two from ever
-  /// disagreeing about what a fallback restart can reach.
+  /// keeps exactly this set, and chunk GC (ChunkReclaimable::gc) can only
+  /// reclaim content no id in this set references, because references are
+  /// released strictly per erased image.  Sharing the walk keeps the two
+  /// from ever disagreeing about what a fallback restart can reach.
   [[nodiscard]] std::vector<ImageId> live_set(const ChargeFn& charge = {}) const;
 
   [[nodiscard]] std::uint64_t next_sequence() const { return next_sequence_; }

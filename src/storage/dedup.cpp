@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <set>
-#include <stdexcept>
 
-#include "obs/observer.hpp"
 #include "util/crc64.hpp"
 #include "util/serialize.hpp"
 
@@ -20,6 +18,10 @@ namespace {
 /// CheckpointImage::kFormatVersion so a manifest blob handed to the flat
 /// deserializer fails the version check instead of garbage-parsing.
 constexpr std::uint32_t kDedupManifestVersion = 0xD5;
+
+/// Longest delta chain (base hops) encode() lets a chunk sit on; deeper
+/// content is stored raw so reconstruction cost stays bounded.
+constexpr std::uint32_t kMaxDeltaDepth = 4;
 
 /// A delta chain longer than this at *decode* time means the manifest or a
 /// chunk blob lies about its base links (encode bounds depth far lower).
@@ -222,26 +224,22 @@ ChunkTable::EncodedImage ChunkTable::encode(const CheckpointImage& image) {
         // Delta-encode against the predecessor version of this (pid, page)
         // when it is a committed, equally-sized chunk on a short enough
         // chain — and only when the delta actually wins.
-        if (options_.delta_encode) {
-          const auto prev = predecessor_.find({image.pid, page.page});
-          if (prev != predecessor_.end()) {
-            const auto base_it = chunks_.find(prev->second);
-            if (base_it != chunks_.end() && !base_it->second.pending &&
-                base_it->second.raw.size() == page.data.size() &&
-                base_it->second.depth < options_.max_delta_depth) {
-              std::vector<std::byte> xored(page.data.size());
-              for (std::size_t i = 0; i < xored.size(); ++i) {
-                xored[i] = page.data[i] ^ base_it->second.raw[i];
-              }
-              std::vector<std::byte> payload = rle_encode(xored);
-              if (kDeltaHeaderBytes + payload.size() <
-                  kRawHeaderBytes + page.data.size()) {
-                chunk.base = prev->second;
-                chunk.depth = base_it->second.depth + 1;
-                chunk.blob =
-                    build_chunk_blob(ChunkEncoding::kXorRle, key, chunk.base, payload);
-                ++out.delta_fresh;
-              }
+        const auto prev = predecessor_.find({image.pid, page.page});
+        if (prev != predecessor_.end()) {
+          const auto base_it = chunks_.find(prev->second);
+          if (base_it != chunks_.end() && !base_it->second.pending &&
+              base_it->second.raw.size() == page.data.size() &&
+              base_it->second.depth < kMaxDeltaDepth) {
+            std::vector<std::byte> xored(page.data.size());
+            for (std::size_t i = 0; i < xored.size(); ++i) {
+              xored[i] = page.data[i] ^ base_it->second.raw[i];
+            }
+            std::vector<std::byte> payload = rle_encode(xored);
+            if (kDeltaHeaderBytes + payload.size() < kRawHeaderBytes + page.data.size()) {
+              chunk.base = prev->second;
+              chunk.depth = base_it->second.depth + 1;
+              chunk.blob = build_chunk_blob(ChunkEncoding::kXorRle, key, chunk.base, payload);
+              ++out.delta_fresh;
             }
           }
         }
@@ -456,120 +454,6 @@ std::optional<CheckpointImage> ChunkTable::decode(std::span<const std::byte> man
   } catch (const SerializeError&) {
     return std::nullopt;
   }
-}
-
-// --- DedupStore --------------------------------------------------------------
-
-DedupStore::DedupStore(BlobStoreBackend* media, DedupOptions options)
-    : media_(media), table_(options), observer_(options.observer) {
-  if (media_ == nullptr) {
-    throw std::invalid_argument("DedupStore: media backend must not be null");
-  }
-}
-
-ImageId DedupStore::store(const CheckpointImage& image, const ChargeFn& charge) {
-  ChunkTable::EncodedImage enc = table_.encode(image);
-
-  // Stage fresh chunks, then the manifest; on any failure erase staged
-  // blobs in reverse and abort the encode — the media never holds a
-  // half-visible image and the identity table never learns phantom chunks.
-  std::vector<std::pair<ChunkKey, ImageId>> staged;
-  staged.reserve(enc.fresh.size());
-  bool failed = false;
-  for (ChunkTable::FreshChunk& fresh : enc.fresh) {
-    const ImageId blob_id = media_->put_raw(std::move(fresh.blob), charge);
-    if (blob_id == kBadImageId) {
-      failed = true;
-      break;
-    }
-    staged.push_back({fresh.key, blob_id});
-  }
-  ImageId manifest_id = kBadImageId;
-  if (!failed) {
-    manifest_id = media_->put_raw(enc.manifest, charge);
-    failed = manifest_id == kBadImageId;
-  }
-  if (failed) {
-    for (auto it = staged.rbegin(); it != staged.rend(); ++it) media_->erase(it->second);
-    table_.abort(enc);
-    return kBadImageId;
-  }
-
-  for (const auto& [key, blob_id] : staged) placements_.emplace(key, blob_id);
-  table_.commit(enc);
-  const ImageId id = next_id_++;
-  images_.emplace(id, Entry{manifest_id, enc.refs});
-
-  if (observer_ != nullptr) {
-    auto& m = observer_->metrics();
-    m.add("dedup.images");
-    m.add("dedup.chunks_new", enc.fresh.size());
-    m.add("dedup.chunks_reused", enc.reused_refs);
-    m.add("dedup.delta_chunks", enc.delta_fresh);
-    m.add("dedup.bytes_logical", enc.logical_bytes);
-    m.add("dedup.bytes_stored", enc.stored_bytes);
-    const std::uint64_t permille =
-        enc.logical_bytes == 0 ? 1000 : enc.stored_bytes * 1000 / enc.logical_bytes;
-    m.observe("dedup.stored_permille", permille, obs::MetricsRegistry::permille_bounds());
-    m.set_gauge("dedup.chunks_live", static_cast<std::int64_t>(table_.live_count()));
-  }
-  return id;
-}
-
-std::optional<CheckpointImage> DedupStore::load(ImageId id, const ChargeFn& charge) {
-  const auto it = images_.find(id);
-  if (it == images_.end()) return std::nullopt;
-  const auto manifest = media_->read_blob(it->second.manifest, charge);
-  if (!manifest.has_value()) return std::nullopt;
-  // The resolver memoizes, so each unique chunk is read (and charged) once.
-  const auto fetch = [&](const ChunkKey& key,
-                         std::uint64_t) -> std::optional<std::vector<std::byte>> {
-    const auto placement = placements_.find(key);
-    if (placement == placements_.end()) return std::nullopt;
-    return media_->read_blob(placement->second, charge);
-  };
-  return ChunkTable::decode(*manifest, fetch);
-}
-
-bool DedupStore::erase(ImageId id) {
-  const auto it = images_.find(id);
-  if (it == images_.end()) return false;
-  media_->erase(it->second.manifest);
-  table_.release(it->second.refs);
-  images_.erase(it);
-  return true;
-}
-
-std::vector<ImageId> DedupStore::list() const {
-  std::vector<ImageId> ids;
-  ids.reserve(images_.size());
-  for (const auto& [id, entry] : images_) ids.push_back(id);
-  return ids;
-}
-
-StorageLocality DedupStore::locality() const { return media_->locality(); }
-
-bool DedupStore::reachable() const { return media_->reachable(); }
-
-std::uint64_t DedupStore::stored_bytes() const { return media_->stored_bytes(); }
-
-GcReport DedupStore::gc(const ChargeFn&) {
-  GcReport report;
-  for (const ChunkTable::FreedChunk& freed : table_.collect_garbage()) {
-    ++report.chunks_freed;
-    report.bytes_freed += freed.blob_bytes;
-    const auto placement = placements_.find(freed.key);
-    if (placement != placements_.end()) {
-      media_->erase(placement->second);
-      placements_.erase(placement);
-    }
-  }
-  report.chunks_live = table_.live_count();
-  if (observer_ != nullptr) {
-    observer_->metrics().set_gauge("dedup.chunks_live",
-                                   static_cast<std::int64_t>(report.chunks_live));
-  }
-  return report;
 }
 
 }  // namespace ckpt::storage

@@ -51,10 +51,6 @@
 
 #include "storage/backend.hpp"
 
-namespace ckpt::obs {
-class Observer;
-}
-
 namespace ckpt::storage {
 
 /// Content address of a chunk.  `crc` and `size` describe the raw content;
@@ -72,17 +68,6 @@ struct ChunkKey {
 enum class ChunkEncoding : std::uint8_t {
   kRaw = 0,     ///< payload is the content itself
   kXorRle = 1,  ///< payload is zero-run-length(content XOR base-chunk content)
-};
-
-struct DedupOptions {
-  /// Delta-encode a page's new content against its predecessor version.
-  bool delta_encode = true;
-  /// Longest delta chain (base hops) a chunk may sit on; deeper content is
-  /// stored raw so reconstruction cost stays bounded.
-  std::uint32_t max_delta_depth = 4;
-  /// Observability sink (null = disabled): dedup.* counters, the
-  /// dedup.stored_permille histogram and the dedup.chunks_live gauge.
-  obs::Observer* observer = nullptr;
 };
 
 /// Cumulative accounting across the life of a ChunkTable.
@@ -123,15 +108,13 @@ class ChunkReclaimable {
   virtual GcReport gc(const ChargeFn& charge) = 0;
 };
 
-/// The chunk identity engine shared by DedupStore and ReplicatedStore's
-/// dedup mode: splits images into manifest + chunks, dedups by
+/// The chunk identity engine behind ReplicatedStore's dedup mode and the
+/// journal's commit groups: splits images into manifest + chunks, dedups by
 /// hash-then-byte-compare, delta-encodes against predecessor page versions,
 /// and tracks refcounts for GC.  Host-side bookkeeping only — it never
 /// touches a backend; callers stage the returned blobs and commit/abort.
 class ChunkTable {
  public:
-  explicit ChunkTable(DedupOptions options) : options_(options) {}
-
   /// A chunk that must be written to media (content first seen by this
   /// encode).  `blob` is the canonical encoded form; `blob_crc` its CRC64
   /// (the read-back verification value).
@@ -236,7 +219,6 @@ class ChunkTable {
   /// First ordinal a (re-)created (crc, size) bucket may issue.
   [[nodiscard]] std::uint32_t retired_ordinal(std::uint64_t crc, std::uint32_t size) const;
 
-  DedupOptions options_;
   std::map<std::pair<std::uint64_t, std::uint32_t>, Bucket> buckets_;
   /// Sorted by (crc, size), one entry per bucket GC ever erased; 16 bytes
   /// each instead of a live map node.
@@ -245,45 +227,6 @@ class ChunkTable {
   /// (pid, page) → chunk of that page's newest committed content.
   std::map<std::pair<sim::Pid, sim::PageNum>, ChunkKey> predecessor_;
   DedupStats stats_;
-};
-
-/// StorageBackend adapter: content-addressed store over one blob "media"
-/// backend.  store() writes only the manifest and the chunks whose content
-/// the media has not seen; load() reads the manifest plus each unique
-/// referenced chunk (each charged once); erase() releases references and
-/// gc() reclaims unreferenced chunk blobs.  A failed store rolls every
-/// staged blob back — the media never holds a half-visible image.
-class DedupStore final : public StorageBackend, public ChunkReclaimable {
- public:
-  explicit DedupStore(BlobStoreBackend* media, DedupOptions options = {});
-
-  ImageId store(const CheckpointImage& image, const ChargeFn& charge) override;
-  std::optional<CheckpointImage> load(ImageId id, const ChargeFn& charge) override;
-  bool erase(ImageId id) override;
-  [[nodiscard]] std::vector<ImageId> list() const override;
-  [[nodiscard]] StorageLocality locality() const override;
-  [[nodiscard]] bool reachable() const override;
-  /// Durable media bytes, including not-yet-collected garbage chunks.
-  [[nodiscard]] std::uint64_t stored_bytes() const override;
-
-  GcReport gc(const ChargeFn& charge) override;
-
-  [[nodiscard]] const DedupStats& stats() const { return table_.stats(); }
-  [[nodiscard]] std::uint64_t chunk_count() const { return table_.live_count(); }
-  [[nodiscard]] BlobStoreBackend* media() const { return media_; }
-
- private:
-  struct Entry {
-    ImageId manifest = kBadImageId;     ///< media id of the manifest blob
-    std::vector<ChunkKey> refs;         ///< closure pinned at commit
-  };
-
-  BlobStoreBackend* media_;
-  ChunkTable table_;
-  obs::Observer* observer_ = nullptr;
-  std::map<ChunkKey, ImageId> placements_;  ///< chunk → media blob id
-  std::map<ImageId, Entry> images_;
-  ImageId next_id_ = 1;
 };
 
 }  // namespace ckpt::storage

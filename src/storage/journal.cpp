@@ -32,6 +32,19 @@ constexpr std::uint64_t kSealRecordBytes = kEnvelopeOverhead + 8;
 /// recompute the old generation and reissue its ids.
 constexpr std::uint32_t kGenerationShift = 48;
 
+/// Frame `body` as one record: [magic][type][body_len][body][crc64], the CRC
+/// covering every preceding byte.
+std::vector<std::byte> envelope(JournalRecordType type, std::span<const std::byte> body) {
+  util::Serializer env;
+  env.reserve(kEnvelopeOverhead + body.size());
+  env.put<std::uint32_t>(kRecordMagic);
+  env.put<JournalRecordType>(type);
+  env.put<std::uint64_t>(body.size());
+  env.put_raw(body);
+  env.put<std::uint64_t>(util::crc64(env.bytes()));
+  return std::move(env).take();
+}
+
 bool record_type_known(std::uint8_t raw) {
   return raw >= static_cast<std::uint8_t>(JournalRecordType::kSegmentOpen) &&
          raw <= static_cast<std::uint8_t>(JournalRecordType::kFlightRecord);
@@ -121,13 +134,31 @@ std::vector<std::byte> LogStructuredBackend::open_record_env(std::uint64_t epoch
   util::Serializer body;
   body.put<std::uint64_t>(epoch);
   body.put<std::uint64_t>(generation_);  // the durable id-generation floor
-  util::Serializer env;
-  env.put<std::uint32_t>(kRecordMagic);
-  env.put<JournalRecordType>(JournalRecordType::kSegmentOpen);
-  env.put<std::uint64_t>(body.size());
-  env.put_raw(body.bytes());
-  env.put<std::uint64_t>(util::crc64(env.bytes()));
-  return std::move(env).take();
+  return envelope(JournalRecordType::kSegmentOpen, body.bytes());
+}
+
+std::optional<LogStructuredBackend::RecordLoc> LogStructuredBackend::write_envelope(
+    std::uint32_t slot, JournalRecordType type, ImageId id, std::span<const std::byte> env,
+    const ChargeFn& charge) {
+  std::byte* at = media_.slots[slot].data() + slots_[slot].used;
+  if (tear_next_append_) {
+    if (*tear_next_append_ < env.size()) {
+      std::memcpy(at, env.data(), *tear_next_append_);
+      tear_next_append_.reset();
+      simulate_crash();
+      return std::nullopt;
+    }
+    *tear_next_append_ -= env.size();
+  }
+  const RecordLoc loc{slot, slots_[slot].used, env.size()};
+  ledger_.push_back({type, id, slot, loc.offset, log_live_bytes(), loc.bytes});
+  std::memcpy(at, env.data(), env.size());
+  slots_[slot].used += env.size();
+  if (charge) {
+    charge(static_cast<SimTime>(static_cast<double>(env.size()) /
+                                options_.costs.disk_bandwidth_bps * 1e9));
+  }
+  return loc;
 }
 
 bool LogStructuredBackend::open_fresh_slot(const ChargeFn& charge) {
@@ -141,51 +172,27 @@ bool LogStructuredBackend::open_fresh_slot(const ChargeFn& charge) {
   if (fresh < 0) return false;
   const auto slot_index = static_cast<std::uint32_t>(fresh);
   const std::uint64_t epoch = next_epoch_++;
-  // Write the open record directly: append_record would recurse into the
-  // rollover logic this function is the bottom of.  It still goes through
-  // the torn-append accounting — a crash inside a segment-open record must
-  // be a reachable injection point like any other intra-record offset.
-  const std::vector<std::byte> env = open_record_env(epoch);
-  if (tear_next_append_) {
-    if (*tear_next_append_ < env.size()) {
-      std::memcpy(media_.slots[slot_index].data(), env.data(), *tear_next_append_);
-      tear_next_append_.reset();
-      simulate_crash();
-      return false;
-    }
-    *tear_next_append_ -= env.size();
-  }
   slots_[slot_index] = Slot{epoch, 0, false};
   active_slot_ = fresh;
-  std::memcpy(media_.slots[slot_index].data(), env.data(), env.size());
-  ledger_.push_back({JournalRecordType::kSegmentOpen, kBadImageId, slot_index, 0,
-                     log_live_bytes(), env.size()});
-  slots_[slot_index].used = env.size();
-  if (charge) {
-    charge(static_cast<SimTime>(static_cast<double>(env.size()) /
-                                options_.costs.disk_bandwidth_bps * 1e9));
-  }
-  return true;
+  // Not through append_record, which would recurse into the rollover logic
+  // this function is the bottom of.
+  return write_envelope(slot_index, JournalRecordType::kSegmentOpen, kBadImageId,
+                        open_record_env(epoch), charge)
+      .has_value();
 }
 
 std::optional<LogStructuredBackend::RecordLoc> LogStructuredBackend::append_record(
     JournalRecordType type, ImageId id, std::span<const std::byte> body,
     const ChargeFn& charge) {
   if (crashed_) return std::nullopt;
-  util::Serializer env;
-  env.put<std::uint32_t>(kRecordMagic);
-  env.put<JournalRecordType>(type);
-  env.put<std::uint64_t>(body.size());
-  env.put_raw(body);
-  env.put<std::uint64_t>(util::crc64(env.bytes()));
-  const std::uint64_t need = env.size();
+  const std::vector<std::byte> env = envelope(type, body);
   // Every slot must keep room for its seal record, or the chain pointer to
   // the successor segment could never be written.
-  if (need + kOpenRecordBytes + kSealRecordBytes > options_.segment_bytes) {
+  if (env.size() + kOpenRecordBytes + kSealRecordBytes > options_.segment_bytes) {
     return std::nullopt;
   }
   if (active_slot_ < 0 && !open_fresh_slot(charge)) return std::nullopt;
-  if (slots_[static_cast<std::uint32_t>(active_slot_)].used + need +
+  if (slots_[static_cast<std::uint32_t>(active_slot_)].used + env.size() +
           kSealRecordBytes > options_.segment_bytes) {
     // Seal the active segment and continue in a fresh one — but only when a
     // fresh one exists, so a full log never strands a half-sealed chain.
@@ -194,55 +201,15 @@ std::optional<LogStructuredBackend::RecordLoc> LogStructuredBackend::append_reco
     if (!have_free) return std::nullopt;
     util::Serializer seal_body;
     seal_body.put<std::uint64_t>(next_epoch_);  // epoch the successor will open with
-    util::Serializer seal;
-    seal.put<std::uint32_t>(kRecordMagic);
-    seal.put<JournalRecordType>(JournalRecordType::kSeal);
-    seal.put<std::uint64_t>(seal_body.size());
-    seal.put_raw(seal_body.bytes());
-    seal.put<std::uint64_t>(util::crc64(seal.bytes()));
     const auto active = static_cast<std::uint32_t>(active_slot_);
-    if (tear_next_append_) {
-      if (*tear_next_append_ < seal.size()) {
-        std::memcpy(media_.slots[active].data() + slots_[active].used,
-                    seal.bytes().data(), *tear_next_append_);
-        tear_next_append_.reset();
-        simulate_crash();
-        return std::nullopt;
-      }
-      *tear_next_append_ -= seal.size();
-    }
-    ledger_.push_back({JournalRecordType::kSeal, kBadImageId, active,
-                       slots_[active].used, log_live_bytes(), seal.size()});
-    std::memcpy(media_.slots[active].data() + slots_[active].used, seal.bytes().data(),
-                seal.size());
-    slots_[active].used += seal.size();
-    slots_[active].sealed = true;
-    if (charge) {
-      charge(static_cast<SimTime>(static_cast<double>(seal.size()) /
-                                  options_.costs.disk_bandwidth_bps * 1e9));
-    }
-    if (!open_fresh_slot(charge)) return std::nullopt;
-  }
-  const auto active = static_cast<std::uint32_t>(active_slot_);
-  if (tear_next_append_) {
-    if (*tear_next_append_ < need) {
-      std::memcpy(media_.slots[active].data() + slots_[active].used, env.bytes().data(),
-                  *tear_next_append_);
-      tear_next_append_.reset();
-      simulate_crash();
+    if (!write_envelope(active, JournalRecordType::kSeal, kBadImageId,
+                        envelope(JournalRecordType::kSeal, seal_body.bytes()), charge)) {
       return std::nullopt;
     }
-    *tear_next_append_ -= need;
+    slots_[active].sealed = true;
+    if (!open_fresh_slot(charge)) return std::nullopt;
   }
-  const RecordLoc loc{active, slots_[active].used, need};
-  ledger_.push_back({type, id, active, loc.offset, log_live_bytes(), need});
-  std::memcpy(media_.slots[active].data() + loc.offset, env.bytes().data(), need);
-  slots_[active].used += need;
-  if (charge) {
-    charge(static_cast<SimTime>(static_cast<double>(need) /
-                                options_.costs.disk_bandwidth_bps * 1e9));
-  }
-  return loc;
+  return write_envelope(static_cast<std::uint32_t>(active_slot_), type, id, env, charge);
 }
 
 std::optional<LogStructuredBackend::ParsedRecord> LogStructuredBackend::parse_record_at(
@@ -301,9 +268,8 @@ ImageId LogStructuredBackend::store(const CheckpointImage& image, const ChargeFn
   // A fresh table per commit keeps the group self-contained: every chunk the
   // manifest references is a kChunk record inside the same contiguous run,
   // so recovery never needs cross-group state.  Cross-image dedup happens at
-  // the home store after migration.  Default knobs, no observer: per-store
-  // tables must not emit dedup.* noise.
-  ChunkTable table(DedupOptions{});
+  // the home store after migration.
+  ChunkTable table;
   const ChunkTable::EncodedImage enc = table.encode(image);
   util::Serializer commit_body;
   const ImageId id = next_id_;

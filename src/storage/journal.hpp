@@ -6,7 +6,7 @@
 // replica.  The CapROS/EROS direction decouples the two: a commit is a pure
 // sequential append of CRC64-enveloped records into a circular log (one
 // device sync per group commit), and a *migrator* later drains committed
-// images into their home store (DedupStore / ReplicatedStore) off the
+// images into their home store (typically a ReplicatedStore) off the
 // critical path, reclaiming log segments once nothing resident needs them.
 //
 // Record format (all integers little-endian):
@@ -51,6 +51,10 @@
 
 namespace ckpt::util {
 class ThreadPool;
+}
+
+namespace ckpt::obs {
+class Observer;
 }
 
 namespace ckpt::storage {
@@ -286,6 +290,12 @@ class LogStructuredBackend final : public StorageBackend, public ChunkReclaimabl
   /// Serialize a kSegmentOpen{epoch, generation_} envelope — shared by the
   /// fresh-slot path and the recovery re-stamp of the generation floor.
   [[nodiscard]] std::vector<std::byte> open_record_env(std::uint64_t epoch) const;
+  /// Write one framed record at the end of `slot`: the single place a record
+  /// reaches the media, so every append honours the torn-append hook, enters
+  /// the ledger and is charged.  nullopt = torn (the journal has crashed).
+  std::optional<RecordLoc> write_envelope(std::uint32_t slot, JournalRecordType type,
+                                          ImageId id, std::span<const std::byte> env,
+                                          const ChargeFn& charge);
   bool open_fresh_slot(const ChargeFn& charge);
   void charge_sync(const ChargeFn& charge);
   /// Parse the record starting at `offset` in `slot`; nullopt when the bytes

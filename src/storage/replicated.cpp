@@ -54,9 +54,8 @@ ReplicatedStore::ReplicatedStore(std::vector<BlobStoreBackend*> replicas,
   pool_ = options_.pool != nullptr ? options_.pool : &util::ThreadPool::shared();
   if (options_.dedup) {
     // The table is pure host-side identity bookkeeping shared by all
-    // replicas; metrics go through options_.observer from this layer, so
-    // the table's own observer hook stays disabled.
-    table_ = std::make_unique<ChunkTable>(DedupOptions{});
+    // replicas; metrics go through options_.observer from this layer.
+    table_ = std::make_unique<ChunkTable>();
   }
 }
 

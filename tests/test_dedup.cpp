@@ -89,6 +89,13 @@ class DedupTest : public ::testing::Test {
  protected:
   sim::CostModel costs_{};
   LocalDiskBackend media_{costs_};
+
+  /// A one-replica content-addressed store over media_.
+  ReplicatedStore make_store() {
+    ReplicatedOptions options;
+    options.dedup = true;
+    return ReplicatedStore({&media_}, options);
+  }
 };
 
 // --- Round-trip fidelity -----------------------------------------------------
@@ -113,7 +120,7 @@ TEST_F(DedupTest, HostileSegmentAndPageCountsDecodeToNullopt) {
   // One segment with no pages: the manifest body ends in that segment's
   // page count, and the prelude (shared with the flat codec) ends in the
   // segment count.
-  ChunkTable table{DedupOptions{}};
+  ChunkTable table;
   const CheckpointImage image = make_image(1, {});
   const ChunkTable::EncodedImage enc = table.encode(image);
   const auto no_chunks = [](const ChunkKey&, std::uint64_t)
@@ -134,7 +141,7 @@ TEST_F(DedupTest, HostileSegmentAndPageCountsDecodeToNullopt) {
 }
 
 TEST_F(DedupTest, RoundTripIsBitIdenticalToFlatSerialization) {
-  DedupStore store(&media_);
+  ReplicatedStore store = make_store();
   const CheckpointImage original = make_rich_image(7);
   const ImageId id = store.store(original, nullptr);
   ASSERT_NE(id, kBadImageId);
@@ -144,26 +151,26 @@ TEST_F(DedupTest, RoundTripIsBitIdenticalToFlatSerialization) {
 }
 
 TEST_F(DedupTest, IdenticalPagesAreStoredOnce) {
-  DedupStore store(&media_);
+  ReplicatedStore store = make_store();
   std::vector<std::vector<std::byte>> pages(8, filled(sim::kPageSize, 0x77));
   const ImageId id = store.store(make_image(1, std::move(pages)), nullptr);
   ASSERT_NE(id, kBadImageId);
-  EXPECT_EQ(store.stats().chunks_created, 1u);
-  EXPECT_EQ(store.stats().chunks_reused, 7u);
+  EXPECT_EQ(store.dedup_stats().chunks_created, 1u);
+  EXPECT_EQ(store.dedup_stats().chunks_reused, 7u);
   // One page of content plus a small manifest, not eight pages.
-  EXPECT_LT(store.stats().bytes_stored, 2 * sim::kPageSize);
+  EXPECT_LT(store.dedup_stats().bytes_stored, 2 * sim::kPageSize);
   const auto loaded = store.load(id, nullptr);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->segments[0].pages.size(), 8u);
 }
 
 TEST_F(DedupTest, UnchangedContentIsNeverRewritten) {
-  DedupStore store(&media_);
+  ReplicatedStore store = make_store();
   CheckpointImage first = make_image(1, {filled(sim::kPageSize, 0x01),
                                          filled(sim::kPageSize, 0x02),
                                          filled(sim::kPageSize, 0x03)});
   ASSERT_NE(store.store(first, nullptr), kBadImageId);
-  const std::uint64_t chunks_after_first = store.stats().chunks_created;
+  const std::uint64_t chunks_after_first = store.dedup_stats().chunks_created;
   const std::uint64_t media_after_first = media_.stored_bytes();
 
   // Same content again: only a manifest hits the media.
@@ -171,7 +178,7 @@ TEST_F(DedupTest, UnchangedContentIsNeverRewritten) {
   second.taken_at = 2;
   const ImageId id2 = store.store(second, nullptr);
   ASSERT_NE(id2, kBadImageId);
-  EXPECT_EQ(store.stats().chunks_created, chunks_after_first);
+  EXPECT_EQ(store.dedup_stats().chunks_created, chunks_after_first);
   EXPECT_LT(media_.stored_bytes() - media_after_first, sim::kPageSize / 2);
   const auto loaded = store.load(id2, nullptr);
   ASSERT_TRUE(loaded.has_value());
@@ -181,7 +188,7 @@ TEST_F(DedupTest, UnchangedContentIsNeverRewritten) {
 // --- Delta encoding ----------------------------------------------------------
 
 TEST_F(DedupTest, SmallPageDiffsDeltaEncodeAgainstThePredecessor) {
-  DedupStore store(&media_);
+  ReplicatedStore store = make_store();
   std::vector<std::byte> v1(sim::kPageSize);
   for (std::size_t i = 0; i < v1.size(); ++i) {
     v1[i] = static_cast<std::byte>(i * 31 + 7);
@@ -191,37 +198,35 @@ TEST_F(DedupTest, SmallPageDiffsDeltaEncodeAgainstThePredecessor) {
     v2[i] = static_cast<std::byte>(0xEE);
   }
   ASSERT_NE(store.store(make_image(1, {v1}), nullptr), kBadImageId);
-  const std::uint64_t stored_v1 = store.stats().bytes_stored;
+  const std::uint64_t stored_v1 = store.dedup_stats().bytes_stored;
   const ImageId id2 = store.store(make_image(2, {v2}), nullptr);
   ASSERT_NE(id2, kBadImageId);
-  EXPECT_EQ(store.stats().delta_chunks, 1u);
+  EXPECT_EQ(store.dedup_stats().delta_chunks, 1u);
   // The 8-byte diff must cost far less than a raw page on media.
-  EXPECT_LT(store.stats().bytes_stored - stored_v1, sim::kPageSize / 4);
+  EXPECT_LT(store.dedup_stats().bytes_stored - stored_v1, sim::kPageSize / 4);
   const auto loaded = store.load(id2, nullptr);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->segments[0].pages[0].data, v2);
 }
 
 TEST_F(DedupTest, DeltaChainDepthIsBounded) {
-  DedupOptions options;
-  options.max_delta_depth = 2;
-  DedupStore store(&media_, options);
+  ReplicatedStore store = make_store();
   std::vector<std::vector<std::byte>> versions;
   std::vector<std::byte> page(sim::kPageSize);
   for (std::size_t i = 0; i < page.size(); ++i) {
     page[i] = static_cast<std::byte>(i);
   }
   std::vector<ImageId> ids;
-  for (std::uint64_t v = 0; v < 5; ++v) {
+  for (std::uint64_t v = 0; v < 7; ++v) {
     page[5] = static_cast<std::byte>(0xC0 + v);  // tiny mutation per version
     versions.push_back(page);
     const ImageId id = store.store(make_image(v + 1, {page}), nullptr);
     ASSERT_NE(id, kBadImageId);
     ids.push_back(id);
   }
-  // v2 (depth 1) and v3 (depth 2) delta; v4 would exceed the bound and is
-  // stored raw; v5 deltas against the fresh raw base.
-  EXPECT_EQ(store.stats().delta_chunks, 3u);
+  // v2..v5 delta at depths 1..4; v6 would exceed the depth bound of 4 and
+  // is stored raw; v7 deltas against the fresh raw base.
+  EXPECT_EQ(store.dedup_stats().delta_chunks, 5u);
   for (std::size_t v = 0; v < ids.size(); ++v) {
     const auto loaded = store.load(ids[v], nullptr);
     ASSERT_TRUE(loaded.has_value()) << "version " << v;
@@ -285,15 +290,13 @@ TEST_F(DedupTest, CrcCollisionsCoexistUnderDistinctOrdinals) {
   ASSERT_NE(m1, m2) << "kernel vector must be nonzero";
   ASSERT_EQ(util::crc64(m1), util::crc64(m2)) << "engineered collision failed";
 
-  DedupOptions options;
-  options.delta_encode = false;  // isolate the identity path
-  DedupStore store(&media_, options);
+  ReplicatedStore store = make_store();
   const ImageId id = store.store(make_image(1, {m1, m2}), nullptr);
   ASSERT_NE(id, kBadImageId);
   // Same (crc, size), different bytes: the byte-compare must keep both as
   // distinct chunks rather than silently aliasing one onto the other.
-  EXPECT_EQ(store.stats().chunks_created, 2u);
-  EXPECT_EQ(store.stats().chunks_reused, 0u);
+  EXPECT_EQ(store.dedup_stats().chunks_created, 2u);
+  EXPECT_EQ(store.dedup_stats().chunks_reused, 0u);
   const auto loaded = store.load(id, nullptr);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->segments[0].pages[0].data, m1);
@@ -305,9 +308,7 @@ TEST_F(DedupTest, CollectedBucketNeverReissuesItsOrdinals) {
   // stale manifest may still name the freed key, so content re-encoded into
   // that bucket must continue past it.
   const auto [m1, m2] = colliding_contents();
-  DedupOptions options;
-  options.delta_encode = false;
-  ChunkTable table(options);
+  ChunkTable table;
   const ChunkTable::EncodedImage first = table.encode(make_image(1, {m1}));
   ASSERT_EQ(first.fresh.size(), 1u);
   EXPECT_EQ(first.fresh[0].key.ordinal, 0u);
@@ -341,7 +342,7 @@ TEST_F(DedupTest, CollectedBucketNeverReissuesItsOrdinals) {
 
 TEST_F(DedupTest, RandomImageChainsRoundTripBitIdentically) {
   std::mt19937_64 rng(0xD5D5'2026ULL);
-  DedupStore store(&media_);
+  ReplicatedStore store = make_store();
   std::vector<std::pair<ImageId, std::vector<std::byte>>> expected;
 
   std::uniform_int_distribution<int> page_count(1, 6);
@@ -379,42 +380,51 @@ TEST_F(DedupTest, RandomImageChainsRoundTripBitIdentically) {
     EXPECT_EQ(loaded->serialize(), flat) << "id " << id;
   }
   // The mutation-heavy chain must have actually exercised dedup and deltas.
-  EXPECT_GT(store.stats().chunks_reused, 0u);
-  EXPECT_GT(store.stats().delta_chunks, 0u);
-  EXPECT_LT(store.stats().stored_permille(), 1000u);
+  EXPECT_GT(store.dedup_stats().chunks_reused, 0u);
+  EXPECT_GT(store.dedup_stats().delta_chunks, 0u);
+  EXPECT_LT(store.dedup_stats().stored_permille(), 1000u);
 }
 
 // --- Failure atomicity -------------------------------------------------------
 
 TEST_F(DedupTest, FailedStoreLeavesNoTraceOnMediaOrInTheTable) {
-  DedupStore store(&media_);
+  ReplicatedStore store = make_store();
   media_.inject_store_fault(StoreFault::kReject);
   const ImageId id = store.store(make_image(1, {filled(sim::kPageSize, 0x01)}), nullptr);
   EXPECT_EQ(id, kBadImageId);
   EXPECT_TRUE(media_.list().empty());
-  EXPECT_EQ(store.chunk_count(), 0u);
-  EXPECT_EQ(store.stats().images, 0u);
+  EXPECT_EQ(store.gc(nullptr).chunks_live, 0u);
+  EXPECT_EQ(store.dedup_stats().images, 0u);
   // The table must be clean enough for the next store to succeed normally.
   const ImageId retry = store.store(make_image(2, {filled(sim::kPageSize, 0x02)}), nullptr);
   ASSERT_NE(retry, kBadImageId);
   EXPECT_TRUE(store.load(retry, nullptr).has_value());
 }
 
-TEST_F(DedupTest, TornChunkWriteSurfacesAsLoadFailureNeverWrongBytes) {
-  DedupStore store(&media_);
+TEST_F(DedupTest, TornChunkWriteIsCaughtAtCommitNeverServedAsWrongBytes) {
+  ReplicatedStore store = make_store();
   media_.inject_store_fault(StoreFault::kTornWrite);
-  // The torn write hits the first staged chunk blob; the single-media
-  // DedupStore (unlike ReplicatedStore) does not read back at commit, so the
-  // damage must surface at load as nullopt via the blob CRC.
-  const ImageId id = store.store(make_image(1, {filled(sim::kPageSize, 0x01)}), nullptr);
+  // The torn write hits the first staged chunk blob.  The read-back verify
+  // catches it before the commit point, so the store fails and rolls back.
+  const StoreReceipt torn =
+      store.store_verbose(make_image(1, {filled(sim::kPageSize, 0x01)}), nullptr);
+  EXPECT_FALSE(torn.ok());
+  EXPECT_EQ(torn.last_error, StoreErrorKind::kTornWrite);
+  EXPECT_TRUE(media_.list().empty());
+  EXPECT_TRUE(store.list().empty());
+
+  const CheckpointImage image = make_image(2, {filled(sim::kPageSize, 0x01)});
+  const ImageId id = store.store(image, nullptr);
   ASSERT_NE(id, kBadImageId);
-  EXPECT_FALSE(store.load(id, nullptr).has_value());
+  const auto loaded = store.load(id, nullptr);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->serialize(), image.serialize());
 }
 
 // --- GC and the chain fallback set -------------------------------------------
 
 TEST_F(DedupTest, EraseThenGcReclaimsOnlyOrphanedChunks) {
-  DedupStore store(&media_);
+  ReplicatedStore store = make_store();
   const auto pa = filled(sim::kPageSize, 0xA1);
   const auto pb = filled(sim::kPageSize, 0xB2);
   const auto pc = filled(sim::kPageSize, 0xC3);
@@ -422,7 +432,7 @@ TEST_F(DedupTest, EraseThenGcReclaimsOnlyOrphanedChunks) {
   const ImageId second = store.store(make_image(2, {pb, pc}), nullptr);
   ASSERT_NE(first, kBadImageId);
   ASSERT_NE(second, kBadImageId);
-  ASSERT_EQ(store.chunk_count(), 3u);
+  ASSERT_EQ(store.gc(nullptr).chunks_live, 3u);
 
   EXPECT_TRUE(store.erase(first));
   const GcReport report = store.gc(nullptr);
@@ -442,7 +452,7 @@ TEST_F(DedupTest, EraseThenGcReclaimsOnlyOrphanedChunks) {
 }
 
 TEST_F(DedupTest, GcKeepsDeltaBasesAliveThroughTheClosure) {
-  DedupStore store(&media_);
+  ReplicatedStore store = make_store();
   std::vector<std::byte> v1(sim::kPageSize);
   for (std::size_t i = 0; i < v1.size(); ++i) {
     v1[i] = static_cast<std::byte>(i * 13);
@@ -451,7 +461,7 @@ TEST_F(DedupTest, GcKeepsDeltaBasesAliveThroughTheClosure) {
   v2[9] = std::byte{0xFF};
   const ImageId first = store.store(make_image(1, {v1}), nullptr);
   const ImageId second = store.store(make_image(2, {v2}), nullptr);
-  ASSERT_EQ(store.stats().delta_chunks, 1u);
+  ASSERT_EQ(store.dedup_stats().delta_chunks, 1u);
 
   // Erasing the image that *introduced* the base must not strand the delta:
   // the second image's closure pinned the base chunk too.
@@ -469,7 +479,7 @@ CheckpointImage chain_image(ImageKind kind, std::uint8_t fill) {
 }
 
 TEST_F(DedupTest, PruneThenGcFreesOnlyChunksOutsideTheLiveSet) {
-  DedupStore store(&media_);
+  ReplicatedStore store = make_store();
   CheckpointChain chain(&store);
   ASSERT_NE(chain.append(chain_image(ImageKind::kFull, 0x01), nullptr), kBadImageId);
   ASSERT_NE(chain.append(chain_image(ImageKind::kIncremental, 0x02), nullptr), kBadImageId);
@@ -502,7 +512,7 @@ TEST_F(DedupTest, GcNeverFreesWhatTheSurvivingRestartPathNeeds) {
   // The regression the shared live_set() walk prevents: when the newest full
   // image is corrupt, prune must keep the older history and GC must not free
   // any chunk reconstruct_newest_surviving() still reaches through it.
-  DedupStore store(&media_);
+  ReplicatedStore store = make_store();
   CheckpointChain chain(&store);
   ASSERT_NE(chain.append(chain_image(ImageKind::kFull, 0x01), nullptr), kBadImageId);
   ASSERT_NE(chain.append(chain_image(ImageKind::kIncremental, 0x02), nullptr), kBadImageId);

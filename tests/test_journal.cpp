@@ -272,6 +272,68 @@ TEST_F(JournalTest, TornSegmentOpenRecordIsAReachableCrashPoint) {
   ASSERT_NE(journal.store(make_image(99), ChargeFn{}), kBadImageId);
 }
 
+TEST_F(JournalTest, TornSealRecordIsAReachableCrashPoint) {
+  JournalOptions options;
+  options.segment_bytes = 16 * 1024;
+  options.segments = 8;
+  options.migrate_on_demand = false;
+
+  // Dry run: find the first store that seals a segment, and how many record
+  // bytes it appends before the seal begins.
+  LocalDiskBackend dry_home(costs_);
+  LogStructuredBackend dry(&dry_home, options);
+  std::uint64_t torn_store = 0;
+  std::uint64_t budget = 0;
+  bool found = false;
+  for (std::uint64_t i = 0; i < 8 && !found; ++i) {
+    ASSERT_NE(dry.store(make_image(i), ChargeFn{}), kBadImageId);
+    std::uint64_t commits_seen = 0;
+    std::uint64_t bytes_since_commit = 0;
+    for (const JournalRecordInfo& record : dry.appended_records()) {
+      if (record.type == JournalRecordType::kSeal) {
+        torn_store = commits_seen;
+        budget = bytes_since_commit;
+        found = true;
+        break;
+      }
+      if (record.type == JournalRecordType::kCommit) {
+        ++commits_seen;
+        bytes_since_commit = 0;
+      } else {
+        bytes_since_commit += record.bytes;
+      }
+    }
+  }
+  ASSERT_TRUE(found) << "geometry must force a mid-sequence seal";
+  ASSERT_GT(torn_store, 0u) << "the seal must come after at least one commit";
+
+  for (const std::uint64_t into_seal : {0u, 5u, 20u}) {
+    SCOPED_TRACE(into_seal);
+    LocalDiskBackend home(costs_);
+    LogStructuredBackend journal(&home, options);
+    for (std::uint64_t i = 0; i < torn_store; ++i) {
+      ASSERT_NE(journal.store(make_image(i), ChargeFn{}), kBadImageId);
+    }
+    journal.tear_next_append(budget + into_seal);
+    EXPECT_EQ(journal.store(make_image(torn_store), ChargeFn{}), kBadImageId);
+    EXPECT_TRUE(journal.crashed());
+
+    const JournalRecoveryReport report = journal.recover(ChargeFn{});
+    std::vector<ImageId> expected;
+    for (std::uint64_t i = 1; i <= torn_store; ++i) expected.push_back(i);
+    EXPECT_EQ(report.recovered_ids, expected);
+    for (const ImageId id : expected) {
+      EXPECT_TRUE(journal.load(id, ChargeFn{}).has_value());
+    }
+    // The tear landed in the seal, not past it: no seal survives.
+    for (const JournalRecordInfo& record : journal.appended_records()) {
+      EXPECT_NE(record.type, JournalRecordType::kSeal);
+    }
+    // The journal stays writable after losing the half-written seal.
+    ASSERT_NE(journal.store(make_image(99), ChargeFn{}), kBadImageId);
+  }
+}
+
 TEST_F(JournalTest, SilentCorruptionRecoversTheNewestFullyCommittedPrefix) {
   LogStructuredBackend journal(&home_, {});
   for (std::uint64_t i = 0; i < 5; ++i) {
