@@ -49,6 +49,18 @@ const bool kCrc64KernelsRegistered = [] {
   return true;
 }();
 
+// crc64_combine joining a 64 KiB body onto a prefix, each call fed the last
+// one's result so the loop measures latency, not throughput.
+void BM_Crc64Combine(benchmark::State& state) {
+  const auto len = static_cast<std::uint64_t>(state.range(0));
+  std::uint64_t crc = 0x0123456789ABCDEFULL;
+  for (auto _ : state) {
+    crc = util::crc64_combine(crc, 0xFEDCBA9876543210ULL, len);
+    benchmark::DoNotOptimize(crc);
+  }
+}
+BENCHMARK(BM_Crc64Combine)->Arg(65536)->Unit(benchmark::kNanosecond);
+
 void BM_GuestStep(benchmark::State& state) {
   sim::register_standard_guests();
   sim::SimKernel kernel;

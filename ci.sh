@@ -59,10 +59,13 @@
 #    simulated-time figures only; after gates 6-10 rewrite them, any
 #    `git diff` against the committed files fails the build.
 # 12. crc gate: prints the kernel util::crc64() dispatches to, reruns the
-#    CRC64 kernel-equivalence tests and the storage core's golden digest
-#    under asan-ubsan, then runs micro_substrate's BM_Crc64 on its 64 KiB
-#    buffer.  Below 4 GiB/s fails the build when a carry-less-multiply
-#    kernel was selected; below the 8 GiB/s target only warns, since
+#    CRC64 kernel-equivalence and combine-oracle tests, the dedup suite
+#    (whose resolver parses chunk headers before any CRC) and the
+#    storage core's golden digest under asan-ubsan, then runs
+#    micro_substrate's BM_Crc64 on its 64 KiB buffer and BM_Crc64Combine
+#    on a 64 KiB length.  When a carry-less-multiply kernel was selected,
+#    below 4 GiB/s or a combine above 1 us fails the build; below the
+#    8 GiB/s target or a combine above 100 ns only warns, since
 #    wall-clock numbers are noisy on shared runners.
 # 13. docs lint: ARCHITECTURE.md and DESIGN.md must mention every src/
 #    module, DESIGN.md section numbering must be contiguous, and every
@@ -249,13 +252,17 @@ git diff --exit-code -- BENCH_dedup.json BENCH_journal.json BENCH_pause.json BEN
 
 # CRC gate: the folding kernels must match the bytewise oracle (and leave
 # the golden storage digest alone) under the sanitizers, and be fast.
-ctest --preset asan-ubsan -R 'Crc64|StorageCoreGolden' --output-on-failure
+ctest --preset asan-ubsan -R 'Crc64|StorageCoreGolden|Dedup' --output-on-failure
 CRC_JSON="$(./build/bench/micro_substrate --benchmark_filter='^BM_Crc64/65536$' \
   --benchmark_format=json 2>/dev/null)"
 CRC_KERNEL="$(sed -n 's/.*"crc64_kernel": "\([a-z0-9]*\)".*/\1/p' <<<"${CRC_JSON}")"
 CRC_GIBS="$(sed -n 's/.*"bytes_per_second": \([-0-9.e+]*\).*/\1/p' <<<"${CRC_JSON}" \
   | awk '{ printf "%.2f", $1 / 1073741824 }')"
-echo "crc gate: crc64 kernel ${CRC_KERNEL}, ${CRC_GIBS} GiB/s on a 64 KiB buffer"
+COMBINE_NS="$(./build/bench/micro_substrate --benchmark_filter='^BM_Crc64Combine/65536$' \
+  --benchmark_format=json 2>/dev/null \
+  | sed -n 's/.*"real_time": \([-0-9.e+]*\).*/\1/p' | awk '{ printf "%.1f", $1 }')"
+echo "crc gate: crc64 kernel ${CRC_KERNEL}, ${CRC_GIBS} GiB/s on a 64 KiB buffer," \
+  "combine ${COMBINE_NS} ns"
 if [ "${CRC_KERNEL}" != "sliced" ]; then
   if ! awk -v g="${CRC_GIBS}" 'BEGIN { exit !(g >= 4.0) }'; then
     echo "CI gate: crc64 kernel ${CRC_KERNEL} ran at ${CRC_GIBS} GiB/s, below the 4 GiB/s floor" >&2
@@ -263,6 +270,13 @@ if [ "${CRC_KERNEL}" != "sliced" ]; then
   fi
   if ! awk -v g="${CRC_GIBS}" 'BEGIN { exit !(g >= 8.0) }'; then
     echo "crc gate: warning: ${CRC_GIBS} GiB/s is below the 8 GiB/s target" >&2
+  fi
+  if ! awk -v t="${COMBINE_NS}" 'BEGIN { exit !(t != "" && t <= 1000) }'; then
+    echo "CI gate: crc64_combine took ${COMBINE_NS} ns on ${CRC_KERNEL}, above the 1 us ceiling" >&2
+    exit 1
+  fi
+  if ! awk -v t="${COMBINE_NS}" 'BEGIN { exit !(t <= 100) }'; then
+    echo "crc gate: warning: crc64_combine took ${COMBINE_NS} ns, above the 100 ns target" >&2
   fi
 fi
 

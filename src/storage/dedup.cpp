@@ -19,6 +19,9 @@ namespace {
 /// deserializer fails the version check instead of garbage-parsing.
 constexpr std::uint32_t kDedupManifestVersion = 0xD5;
 
+/// Manifest envelope header: version and body CRC.  The body follows.
+constexpr std::size_t kManifestHeaderBytes = 4 + 8;
+
 /// Longest delta chain (base hops) encode() lets a chunk sit on; deeper
 /// content is stored raw so reconstruction cost stays bounded.
 constexpr std::uint32_t kMaxDeltaDepth = 4;
@@ -133,35 +136,38 @@ class ChunkResolver {
 
     const auto ref = refs_.find(key);
     if (ref == refs_.end()) throw SerializeError("chunk: key not in manifest refs");
-    auto blob = fetch_(key, ref->second.blob_crc);
+    const auto blob = fetch_(key, ref->second.blob_crc);
     if (!blob.has_value()) throw SerializeError("chunk: blob unavailable");
+
+    // The header is read before any CRC is checked and must equal the key.
+    // A raw chunk's payload is then hashed once, for both the content CRC
+    // and, combined with the header's, the blob CRC.  A delta chunk's whole
+    // blob is hashed before its base link is followed.
+    Deserializer d(*blob);
+    const auto encoding = d.get<ChunkEncoding>();
+    if (d.get<std::uint64_t>() != key.crc || d.get<std::uint32_t>() != key.size) {
+      throw SerializeError("chunk: header does not match key");
+    }
+    if (encoding == ChunkEncoding::kRaw) {
+      const auto payload = d.get_raw(d.remaining());
+      if (payload.size() != key.size) throw SerializeError("chunk: raw size mismatch");
+      const std::uint64_t payload_crc = util::crc64(payload);
+      if (payload_crc != key.crc) throw SerializeError("chunk: content CRC mismatch");
+      const std::uint64_t blob_crc = util::crc64_combine(
+          util::crc64(std::span(*blob).first(kRawHeaderBytes)), payload_crc, payload.size());
+      if (blob_crc != ref->second.blob_crc) throw SerializeError("chunk: blob CRC mismatch");
+      return cache_.emplace(key, std::vector<std::byte>(payload.begin(), payload.end()))
+          .first->second;
+    }
+    if (encoding != ChunkEncoding::kXorRle) throw SerializeError("chunk: unknown encoding");
     if (util::crc64(*blob) != ref->second.blob_crc) {
       throw SerializeError("chunk: blob CRC mismatch");
     }
-
-    Deserializer d(*blob);
-    const auto encoding = d.get<ChunkEncoding>();
-    const auto raw_crc = d.get<std::uint64_t>();
-    const auto raw_size = d.get<std::uint32_t>();
-    if (raw_crc != key.crc || raw_size != key.size) {
-      throw SerializeError("chunk: header does not match key");
-    }
-
-    std::vector<std::byte> raw;
-    if (encoding == ChunkEncoding::kRaw) {
-      const auto payload = d.get_raw(d.remaining());
-      if (payload.size() != raw_size) throw SerializeError("chunk: raw size mismatch");
-      raw.assign(payload.begin(), payload.end());
-    } else if (encoding == ChunkEncoding::kXorRle) {
-      const ChunkKey base = get_key(d);
-      const std::vector<std::byte>& base_raw = resolve(base, depth + 1);
-      if (base_raw.size() != raw_size) throw SerializeError("chunk: base size mismatch");
-      raw = rle_decode(d, raw_size);
-      for (std::size_t i = 0; i < raw.size(); ++i) raw[i] ^= base_raw[i];
-    } else {
-      throw SerializeError("chunk: unknown encoding");
-    }
-
+    const ChunkKey base = get_key(d);
+    const std::vector<std::byte>& base_raw = resolve(base, depth + 1);
+    if (base_raw.size() != key.size) throw SerializeError("chunk: base size mismatch");
+    std::vector<std::byte> raw = rle_decode(d, key.size);
+    for (std::size_t i = 0; i < raw.size(); ++i) raw[i] ^= base_raw[i];
     if (util::crc64(raw) != key.crc) throw SerializeError("chunk: content CRC mismatch");
     return cache_.emplace(key, std::move(raw)).first->second;
   }
@@ -244,9 +250,13 @@ ChunkTable::EncodedImage ChunkTable::encode(const CheckpointImage& image) {
           }
         }
         if (chunk.blob.empty()) {
+          // A raw blob is its header then the page, whose CRC is in hand.
           chunk.blob = build_chunk_blob(ChunkEncoding::kRaw, key, std::nullopt, page.data);
+          chunk.blob_crc = util::crc64_combine(
+              util::crc64(std::span(chunk.blob).first(kRawHeaderBytes)), crc, size);
+        } else {
+          chunk.blob_crc = util::crc64(chunk.blob);
         }
-        chunk.blob_crc = util::crc64(chunk.blob);
 
         out.stored_bytes += chunk.blob.size();
         out.fresh.push_back({key, chunk.blob, chunk.blob_crc});
@@ -284,13 +294,15 @@ ChunkTable::EncodedImage ChunkTable::encode(const CheckpointImage& image) {
     }
   }
 
+  const std::uint64_t body_crc = util::crc64(body.bytes());
   Serializer envelope;
-  envelope.reserve(12 + body.size());
+  envelope.reserve(kManifestHeaderBytes + body.size());
   envelope.put(kDedupManifestVersion);
-  envelope.put(util::crc64(body.bytes()));
+  envelope.put(body_crc);
   envelope.put_raw(body.bytes());
   out.manifest = std::move(envelope).take();
-  out.manifest_crc = util::crc64(out.manifest);
+  out.manifest_crc = util::crc64_combine(
+      util::crc64(std::span(out.manifest).first(kManifestHeaderBytes)), body_crc, body.size());
   out.stored_bytes += out.manifest.size();
   return out;
 }

@@ -75,6 +75,49 @@ std::uint64_t sliced_update(std::uint64_t crc, const std::byte* p, std::size_t n
   return crc;
 }
 
+/// x^k mod P, the 64-bit remainder.
+constexpr std::uint64_t xpow_mod(std::uint32_t k) {
+  std::uint64_t r = 1;
+  for (; k != 0; --k) r = (r & (1ULL << 63)) != 0 ? (r << 1) ^ kPoly : r << 1;
+  return r;
+}
+
+// --- Shifting a register across zero bytes, for crc64_combine --------------
+//
+// Advancing the raw register r over n zero bytes gives r·x^(8n) mod P, and
+// x^(8n) is the product of x^(8·2^k) mod P over the set bits k of n.  So a
+// shift is one multiply mod P per set bit of n, by a 64-entry table.
+
+/// a·b mod P, 64 shift-and-add steps (Horner over b's bits, reducing as it
+/// goes).  The portable kernel's multiply, and what builds the tables.
+constexpr std::uint64_t mulmod_sliced(std::uint64_t a, std::uint64_t b) {
+  std::uint64_t r = 0;
+  for (int i = 63; i >= 0; --i) {
+    r = (r & (1ULL << 63)) != 0 ? (r << 1) ^ kPoly : r << 1;
+    if (((b >> i) & 1) != 0) r ^= a;
+  }
+  return r;
+}
+
+/// kShiftPow[k] = x^(8·2^k) mod P: one zero byte, squared k times.
+constexpr std::array<std::uint64_t, 64> make_shift_powers() {
+  std::array<std::uint64_t, 64> powers{};
+  powers[0] = xpow_mod(8);
+  for (std::size_t k = 1; k < powers.size(); ++k) {
+    powers[k] = mulmod_sliced(powers[k - 1], powers[k - 1]);
+  }
+  return powers;
+}
+
+constexpr std::array<std::uint64_t, 64> kShiftPow = make_shift_powers();
+
+std::uint64_t shift_sliced(std::uint64_t crc, std::uint64_t len) {
+  for (; len != 0; len &= len - 1) {
+    crc = mulmod_sliced(crc, kShiftPow[static_cast<std::size_t>(std::countr_zero(len))]);
+  }
+  return crc;
+}
+
 #ifdef CKPT_CRC64_CLMUL
 // --- Carry-less-multiply folding -------------------------------------------
 //
@@ -92,13 +135,6 @@ std::uint64_t sliced_update(std::uint64_t crc, const std::byte* p, std::size_t n
 // lane 16 bytes at a time, and that lane's 16 bytes plus the sub-16-byte
 // tail finish on the byte tables.  The register is non-reflected, so the
 // products need no bit-reversal fix-up.
-
-/// x^k mod P, the 64-bit remainder.
-constexpr std::uint64_t xpow_mod(std::uint32_t k) {
-  std::uint64_t r = 1;
-  for (; k != 0; --k) r = (r & (1ULL << 63)) != 0 ? (r << 1) ^ kPoly : r << 1;
-  return r;
-}
 
 struct FoldConstants {
   std::uint64_t lo;  ///< x^(8D) mod P, multiplies the low half
@@ -158,6 +194,43 @@ __attribute__((target("pclmul,ssse3"))) std::uint64_t crc64_clmul(
   _mm_storeu_si128(reinterpret_cast<__m128i*>(folded), byte_reverse(acc));
   return ~sliced_update(sliced_update(0, folded, sizeof folded), p, n);
 }
+
+/// Barrett's μ = floor(x^128 / P) without its x^64 term, by long division
+/// of x^128.  Quotient bit i is the remainder's x^(64+i) coefficient, and no
+/// subtraction moves a coefficient upwards, so only x^64..x^127 are kept.
+constexpr std::uint64_t barrett_mu_low() {
+  std::uint64_t rem = kPoly;  // x^128 - x^64·P
+  std::uint64_t mu = 0;
+  for (int i = 63; i >= 0; --i) {
+    if (((rem >> i) & 1) == 0) continue;
+    mu |= 1ULL << i;
+    rem ^= (1ULL << i) ^ (i != 0 ? kPoly >> (64 - i) : 0);  // x^i·P
+  }
+  return mu;
+}
+
+constexpr std::uint64_t kBarrettMu = barrett_mu_low();
+
+/// shift_sliced with each multiply one 64×64 carry-less product C = H·x^64
+/// + L, reduced by Barrett: q = H + floor(H·μ / x^64), C mod P = L + q·P's
+/// low half.  The register stays in the low lane of an XMM register.
+__attribute__((target("pclmul,ssse3"))) std::uint64_t shift_clmul(std::uint64_t crc,
+                                                                   std::uint64_t len) {
+  const __m128i mu = _mm_set_epi64x(0, static_cast<long long>(kBarrettMu));
+  const __m128i poly = _mm_set_epi64x(0, static_cast<long long>(kPoly));
+  __m128i r = _mm_set_epi64x(0, static_cast<long long>(crc));
+  for (; len != 0; len &= len - 1) {
+    const __m128i power = _mm_set_epi64x(
+        0, static_cast<long long>(kShiftPow[static_cast<std::size_t>(std::countr_zero(len))]));
+    const __m128i product = _mm_clmulepi64_si128(r, power, 0x00);
+    const __m128i high = _mm_srli_si128(product, 8);
+    const __m128i q = _mm_xor_si128(high, _mm_srli_si128(_mm_clmulepi64_si128(high, mu, 0x00), 8));
+    r = _mm_xor_si128(product, _mm_clmulepi64_si128(q, poly, 0x00));
+  }
+  std::uint64_t out = 0;
+  _mm_storel_epi64(reinterpret_cast<__m128i*>(&out), r);
+  return out;
+}
 #endif
 
 /// The kernel crc64() runs, chosen at the first call: the last one
@@ -195,44 +268,6 @@ CounterSlot& own_counter_slot() {
   return slot;
 }
 
-// --- GF(2) linear algebra for crc64_combine --------------------------------
-//
-// Advancing the CRC register across n zero bytes is a linear operator on the
-// 64-bit register; column i of `Gf2Matrix` is the operator applied to basis
-// vector 1<<i.  crc64_combine raises the one-zero-byte operator to the n-th
-// power by square-and-multiply, zlib's crc32_combine technique adapted to
-// the non-reflected ECMA-182 register.
-
-using Gf2Matrix = std::array<std::uint64_t, 64>;
-
-std::uint64_t gf2_apply(const Gf2Matrix& m, std::uint64_t v) {
-  std::uint64_t out = 0;
-  while (v != 0) {
-    out ^= m[static_cast<std::size_t>(std::countr_zero(v))];
-    v &= v - 1;
-  }
-  return out;
-}
-
-Gf2Matrix gf2_multiply(const Gf2Matrix& a, const Gf2Matrix& b) {
-  Gf2Matrix out{};
-  for (std::size_t i = 0; i < 64; ++i) out[i] = gf2_apply(a, b[i]);
-  return out;
-}
-
-Gf2Matrix make_zero_byte_matrix() {
-  // One zero bit: r' = (r << 1) ^ (msb(r) ? poly : 0).
-  Gf2Matrix bit{};
-  for (std::size_t i = 0; i < 63; ++i) bit[i] = 1ULL << (i + 1);
-  bit[63] = kPoly;
-  // One zero byte = eight zero bits: square three times.
-  Gf2Matrix byte = gf2_multiply(bit, bit);   // 2 bits
-  byte = gf2_multiply(byte, byte);           // 4 bits
-  return gf2_multiply(byte, byte);           // 8 bits
-}
-
-const Gf2Matrix kZeroByte = make_zero_byte_matrix();
-
 }  // namespace
 
 std::uint64_t crc64(std::span<const std::byte> data, std::uint64_t seed) {
@@ -263,10 +298,10 @@ std::span<const Crc64Kernel> crc64_kernels() {
 #ifdef CKPT_CRC64_CLMUL
     __builtin_cpu_init();
     const bool clmul = __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("ssse3");
-    return std::array{Crc64Kernel{"sliced", true, &crc64_sliced},
-                      Crc64Kernel{"pclmul", clmul, &crc64_clmul}};
+    return std::array{Crc64Kernel{"sliced", true, &crc64_sliced, &shift_sliced},
+                      Crc64Kernel{"pclmul", clmul, &crc64_clmul, &shift_clmul}};
 #else
-    return std::array{Crc64Kernel{"sliced", true, &crc64_sliced}};
+    return std::array{Crc64Kernel{"sliced", true, &crc64_sliced, &shift_sliced}};
 #endif
   }();
   return kernels;
@@ -284,17 +319,7 @@ std::uint64_t crc64_combine(std::uint64_t crc_a, std::uint64_t crc_b,
                             std::uint64_t len_b) {
   // crc(A ++ B) = shift(crc(A), len_b) ^ crc(B): the pre/post inversions of
   // the two halves cancel under the shift's linearity.
-  if (len_b == 0 || crc_a == 0) return crc_a ^ crc_b;
-  std::uint64_t shifted = crc_a;
-  Gf2Matrix power = kZeroByte;
-  std::uint64_t n = len_b;
-  while (true) {
-    if ((n & 1) != 0) shifted = gf2_apply(power, shifted);
-    n >>= 1;
-    if (n == 0) break;
-    power = gf2_multiply(power, power);
-  }
-  return shifted ^ crc_b;
+  return active_kernel().shift(crc_a, len_b) ^ crc_b;
 }
 
 }  // namespace ckpt::util

@@ -16,6 +16,11 @@
 //     byte position of an 8-byte block.  The portable fallback, and what the
 //     folding kernel uses for inputs shorter than one 128-byte round.
 //
+// Each kernel also shifts a register across n zero bytes, which is all
+// crc64_combine() needs: a multiply mod P by x^(8·2^k) mod P for each set
+// bit k of n, from a 64-entry table.  "pclmul" multiplies with one carry-less
+// product and reduces it by Barrett; "sliced" runs a 64-step shift-and-add.
+//
 // crc64_bytewise() keeps the original one-table loop as the reference the
 // equivalence tests pin every kernel against.  Every kernel returns the same
 // value for every input, so which one runs never reaches a stored byte.
@@ -44,11 +49,14 @@ std::uint64_t crc64_sliced(std::span<const std::byte> data, std::uint64_t seed =
 std::uint64_t crc64_bytewise(std::span<const std::byte> data, std::uint64_t seed = 0);
 
 /// One compiled crc64() kernel.  `supported` says whether this CPU can run
-/// it; calling `fn` when it is false is undefined.
+/// it; calling `fn` or `shift` when it is false is undefined.
 struct Crc64Kernel {
   const char* name;
   bool supported;
   std::uint64_t (*fn)(std::span<const std::byte> data, std::uint64_t seed);
+  /// The raw register `crc` advanced across `len` zero bytes:
+  /// crc·x^(8·len) mod P.  crc64_combine() is shift(crc_a, len_b) ^ crc_b.
+  std::uint64_t (*shift)(std::uint64_t crc, std::uint64_t len);
 };
 
 /// Every kernel compiled into this build, slowest first.  crc64() runs the
@@ -68,10 +76,11 @@ std::uint64_t crc64_bytes_hashed();
 ///
 ///   crc64_combine(crc64(A), crc64(B), B.size()) == crc64(A ++ B)
 ///
-/// in O(log len_b) GF(2) matrix work, no data pass.  This is what lets the
-/// parallel serializer CRC its shards on workers *concurrently* and still
-/// join them into the exact envelope checksum a serial pass produces —
-/// seed-chaining alone would force shard i to wait for shard i-1's result.
+/// with one multiply mod P per set bit of len_b and no data pass.  This is
+/// what lets the parallel serializer CRC its shards on workers
+/// *concurrently* and still join them into the exact envelope checksum a
+/// serial pass produces — seed-chaining alone would force shard i to wait
+/// for shard i-1's result.
 std::uint64_t crc64_combine(std::uint64_t crc_a, std::uint64_t crc_b,
                             std::uint64_t len_b);
 

@@ -421,6 +421,76 @@ TEST_F(DedupTest, TornChunkWriteIsCaughtAtCommitNeverServedAsWrongBytes) {
   EXPECT_EQ(loaded->serialize(), image.serialize());
 }
 
+TEST_F(DedupTest, CorruptRawChunkIsRejectedNeverServedAsWrongBytes) {
+  // The resolver reads a raw chunk's header before any CRC is checked, so
+  // every short read and every header or payload flip must fail the decode.
+  // The fetch here hands back whatever bytes it is given, as a backend that
+  // does not verify chunk blobs itself would.
+  ChunkTable table;
+  const CheckpointImage image =
+      make_image(1, {filled(sim::kPageSize, 0x5C), filled(sim::kPageSize, 0xA3)});
+  const ChunkTable::EncodedImage enc = table.encode(image);
+  ASSERT_EQ(enc.fresh.size(), 2u);
+  const ChunkTable::FreshChunk& target = enc.fresh.front();
+  ASSERT_EQ(target.blob.front(), static_cast<std::byte>(ChunkEncoding::kRaw));
+  constexpr std::size_t kHeader = 1 + 8 + 4;  // encoding, content CRC, size
+  ASSERT_EQ(target.blob.size(), kHeader + sim::kPageSize);
+
+  const auto decode_with = [&](const std::vector<std::byte>& served) {
+    return ChunkTable::decode(enc.manifest, [&](const ChunkKey& key, std::uint64_t)
+                                                -> std::optional<std::vector<std::byte>> {
+      if (key == target.key) return served;
+      for (const ChunkTable::FreshChunk& fresh : enc.fresh) {
+        if (fresh.key == key) return fresh.blob;
+      }
+      return std::nullopt;
+    });
+  };
+  const auto intact = decode_with(target.blob);
+  ASSERT_TRUE(intact.has_value());
+  ASSERT_EQ(intact->serialize(), image.serialize());
+
+  for (std::size_t len = 0; len <= kHeader + 1; ++len) {
+    const std::vector<std::byte> truncated(target.blob.begin(), target.blob.begin() + len);
+    EXPECT_FALSE(decode_with(truncated).has_value()) << "truncated to " << len;
+  }
+  for (std::size_t at = 0; at < kHeader; ++at) {
+    // 0x01 turns the raw encoding byte into the delta one; 0xFF into none.
+    for (const std::byte mask : {std::byte{0x01}, std::byte{0xFF}}) {
+      std::vector<std::byte> flipped = target.blob;
+      flipped[at] ^= mask;
+      EXPECT_FALSE(decode_with(flipped).has_value())
+          << "header byte " << at << " mask " << std::to_integer<int>(mask);
+    }
+  }
+  std::vector<std::byte> payload_flip = target.blob;
+  payload_flip[kHeader + 100] ^= std::byte{0x01};
+  EXPECT_FALSE(decode_with(payload_flip).has_value());
+}
+
+TEST_F(DedupTest, FreshImageStoreAndLoadHashWithinPinnedBound) {
+  // A fresh image of all-distinct pages through a one-replica store: the
+  // encode hashes each page once (its blob CRC combines the header's in),
+  // the replica read-back hashes each blob, and the load's fetch and
+  // resolver hash each blob once more.  The bound is that exact count;
+  // hashing any page a further time exceeds it.
+  ReplicatedStore store = make_store();
+  std::vector<std::vector<std::byte>> pages;
+  for (std::uint8_t p = 0; p < 16; ++p) pages.push_back(filled(sim::kPageSize, 0x40 + p));
+  const CheckpointImage image = make_image(1, std::move(pages));
+
+  const std::uint64_t before = util::crc64_bytes_hashed();
+  const ImageId id = store.store(image, nullptr);
+  ASSERT_NE(id, kBadImageId);
+  const auto loaded = store.load(id, nullptr);
+  const std::uint64_t hashed = util::crc64_bytes_hashed() - before;
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->serialize(), image.serialize());
+  // Four passes over the 64 KiB of pages and their 13-byte headers, four
+  // over the manifest.
+  EXPECT_LE(hashed, 267948u) << "hashed " << hashed << " bytes";
+}
+
 // --- GC and the chain fallback set -------------------------------------------
 
 TEST_F(DedupTest, EraseThenGcReclaimsOnlyOrphanedChunks) {
@@ -619,6 +689,28 @@ TEST_F(ReplicatedDedupTest, ScrubRepairsACorruptChunkCopyFromThePeer) {
   EXPECT_GE(report.repaired, 1u);
   EXPECT_EQ(report.unrepairable, 0u);
   EXPECT_EQ(store.intact_replicas(receipt.id), 2u);
+  EXPECT_TRUE(store.load_from(0, receipt.id, nullptr).has_value());
+}
+
+TEST_F(ReplicatedDedupTest, CorruptRawChunkCopyFailsOverToThePeer) {
+  ReplicatedStore store = make_store();
+  const CheckpointImage image = four_pages(1);
+  const StoreReceipt receipt = store.store_verbose(image, nullptr);
+  ASSERT_TRUE(receipt.ok());
+  // Chunks stage before the manifest: the first blob is a raw page chunk.
+  const ImageId chunk = local_.list().front();
+  constexpr std::uint64_t kHeader = 1 + 8 + 4;
+  std::vector<std::uint64_t> offsets;
+  for (std::uint64_t at = 0; at < kHeader; ++at) offsets.push_back(at);
+  offsets.push_back(kHeader + 100);
+  for (const std::uint64_t at : offsets) {
+    ASSERT_TRUE(local_.corrupt_blob(chunk, at, 1, std::byte{0x01}));
+    EXPECT_FALSE(store.load_from(0, receipt.id, nullptr).has_value()) << "byte " << at;
+    const auto loaded = store.load(receipt.id, nullptr);
+    ASSERT_TRUE(loaded.has_value()) << "byte " << at;
+    EXPECT_EQ(loaded->serialize(), image.serialize()) << "byte " << at;
+    ASSERT_TRUE(local_.corrupt_blob(chunk, at, 1, std::byte{0x01}));  // flip back
+  }
   EXPECT_TRUE(store.load_from(0, receipt.id, nullptr).has_value());
 }
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstring>
 #include <span>
 #include <string>
@@ -122,6 +124,96 @@ TEST(Crc64, CombineHandlesLargeLengthsWithoutADataPass) {
   padded.resize(a.size() + (1 << 20));  // 1 MiB of zeros appended
   const std::span<const std::byte> zeros(padded.data() + a.size(), 1 << 20);
   EXPECT_EQ(crc64_combine(crc64(a), crc64(zeros), zeros.size()), crc64(padded));
+}
+
+// --- crc64_combine vs the GF(2) matrix oracle --------------------------------
+//
+// Advancing the CRC register across n zero bytes is a linear operator on the
+// 64-bit register; column i of `Gf2Matrix` is the operator applied to basis
+// vector 1<<i.  matrix_combine raises the one-zero-byte operator to the n-th
+// power by square-and-multiply, zlib's crc32_combine technique adapted to
+// the non-reflected ECMA-182 register.  It shares no code with the kernels'
+// multiply mod P, so it pins every kernel's shift.
+
+using Gf2Matrix = std::array<std::uint64_t, 64>;
+
+std::uint64_t gf2_apply(const Gf2Matrix& m, std::uint64_t v) {
+  std::uint64_t out = 0;
+  while (v != 0) {
+    out ^= m[static_cast<std::size_t>(std::countr_zero(v))];
+    v &= v - 1;
+  }
+  return out;
+}
+
+Gf2Matrix gf2_multiply(const Gf2Matrix& a, const Gf2Matrix& b) {
+  Gf2Matrix out{};
+  for (std::size_t i = 0; i < 64; ++i) out[i] = gf2_apply(a, b[i]);
+  return out;
+}
+
+Gf2Matrix make_zero_byte_matrix() {
+  // One zero bit: r' = (r << 1) ^ (msb(r) ? poly : 0).
+  Gf2Matrix bit{};
+  for (std::size_t i = 0; i < 63; ++i) bit[i] = 1ULL << (i + 1);
+  bit[63] = 0x42F0E1EBA9EA3693ULL;  // ECMA-182
+  // One zero byte = eight zero bits: square three times.
+  Gf2Matrix byte = gf2_multiply(bit, bit);  // 2 bits
+  byte = gf2_multiply(byte, byte);          // 4 bits
+  return gf2_multiply(byte, byte);          // 8 bits
+}
+
+std::uint64_t matrix_combine(std::uint64_t crc_a, std::uint64_t crc_b, std::uint64_t len_b) {
+  static const Gf2Matrix kZeroByte = make_zero_byte_matrix();
+  std::uint64_t shifted = crc_a;
+  Gf2Matrix power = kZeroByte;
+  for (std::uint64_t n = len_b; n != 0; n >>= 1) {
+    if ((n & 1) != 0) shifted = gf2_apply(power, shifted);
+    if (n > 1) power = gf2_multiply(power, power);
+  }
+  return shifted ^ crc_b;
+}
+
+TEST(Crc64, CombineMatchesMatrixOracle) {
+  std::vector<std::uint64_t> lens = {0, 1, std::uint64_t{1} << 63, ~std::uint64_t{0}};
+  for (unsigned k = 1; k < 64; ++k) {
+    const std::uint64_t p = std::uint64_t{1} << k;
+    lens.insert(lens.end(), {p - 1, p, p + 1});
+  }
+  struct Triple {
+    std::uint64_t crc_a, crc_b, len_b, expect;
+  };
+  std::vector<Triple> triples;
+  Rng rng(0xC0B1);
+  const auto add = [&](std::uint64_t crc_a, std::uint64_t len_b) {
+    const std::uint64_t crc_b = rng.next_u64();
+    triples.push_back({crc_a, crc_b, len_b, matrix_combine(crc_a, crc_b, len_b)});
+  };
+  for (const std::uint64_t len : lens) {
+    add(0, len);
+    add(~std::uint64_t{0}, len);
+  }
+  for (int i = 0; i < 2000; ++i) {
+    // Half full-width lengths, half the sizes images and chunks really have.
+    const std::uint64_t crc_a = rng.next_u64();
+    add(crc_a, i % 2 == 0 ? rng.next_u64() : rng.next_below(std::uint64_t{1} << 26));
+  }
+
+  // The portable kernel runs wherever the clmul one does, so both are pinned.
+  std::size_t kernels_run = 0;
+  for (const Crc64Kernel& kernel : crc64_kernels()) {
+    if (!kernel.supported) continue;
+    ++kernels_run;
+    for (const Triple& t : triples) {
+      ASSERT_EQ(kernel.shift(t.crc_a, t.len_b) ^ t.crc_b, t.expect)
+          << kernel.name << " crc_a " << t.crc_a << " len_b " << t.len_b;
+    }
+  }
+  EXPECT_GE(kernels_run, 1u);
+  for (const Triple& t : triples) {
+    ASSERT_EQ(crc64_combine(t.crc_a, t.crc_b, t.len_b), t.expect)
+        << "dispatched crc_a " << t.crc_a << " len_b " << t.len_b;
+  }
 }
 
 // --- Every compiled kernel vs the bytewise oracle ----------------------------
