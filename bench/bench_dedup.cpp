@@ -5,18 +5,19 @@
 // The survey's incremental-checkpointing claim (§3.3) is about *capture*
 // volume; the dedup store extends it to *durable* volume: even a full-image
 // commit should cost media bytes proportional to the dirty fraction, because
-// clean pages dedup against the chunks already on media.  The CI gate
+// clean pages dedup against the chunks already on media.  The gate
 // requires <= 0.3x the flat path at a 10% dirty rate, plus the two hard
 // invariants: bit-identical round-trips and worker-count-invariant replica
 // contents in replicated dedup mode.
 //
 // Deterministic (sim + seeded rng; no host timing).  Emits BENCH_dedup.json
-// (path = argv[1], default ./BENCH_dedup.json) for the CI archive + gate.
+// (path = argv[1], default ./BENCH_dedup.json) and exits non-zero when a
+// gate fails.
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "bench_common.hpp"
+#include "bench_report.hpp"
 #include "storage/backend.hpp"
 #include "storage/image.hpp"
 #include "storage/replicated.hpp"
@@ -187,37 +188,23 @@ int main(int argc, char** argv) {
   bench::print_table(table);
 
   const bool identical_1v8 = replicated_identical_1v8();
-  std::printf("round-trips bit-identical: %s\n", roundtrips ? "yes" : "NO");
-  std::printf("replicated dedup 1-vs-8-worker identical: %s\n", identical_1v8 ? "yes" : "NO");
-
-  const bool holds = ratio_10 <= 0.3 && roundtrips && identical_1v8;
-  bench::print_verdict(holds,
+  bench::Report report("bench_dedup");
+  std::vector<bench::Fields> rows;
+  for (const Sample& s : samples) {
+    rows.push_back(bench::Fields()
+                       .put("dirty", s.dirty, 2)
+                       .put("flat_bytes_per_commit", s.flat_per_commit)
+                       .put("dedup_bytes_per_commit", s.dedup_per_commit)
+                       .put("ratio", s.ratio, 4));
+  }
+  report.put("sweep", rows)
+      .put("ratio_10pct_dirty", ratio_10, 4)
+      .put("roundtrip_identical", roundtrips)
+      .put("identical_1v8", identical_1v8);
+  report.gate("ratio_10pct_dirty", ratio_10, bench::Op::kLe, 0.3)
+      .gate("roundtrip_identical", roundtrips)
+      .gate("identical_1v8", identical_1v8);
+  return report.finish(json_path,
                        "durable volume tracks the dirty rate (<= 0.3x at 10%), "
                        "round-trips are exact, replicas are worker-invariant");
-
-  std::FILE* json = std::fopen(json_path.c_str(), "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(json, "{\n  \"bench\": \"bench_dedup\",\n");
-  std::fprintf(json, "  \"sweep\": [\n");
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    const Sample& s = samples[i];
-    std::fprintf(json,
-                 "    {\"dirty\": %.2f, \"flat_bytes_per_commit\": %llu, "
-                 "\"dedup_bytes_per_commit\": %llu, \"ratio\": %.4f}%s\n",
-                 s.dirty, static_cast<unsigned long long>(s.flat_per_commit),
-                 static_cast<unsigned long long>(s.dedup_per_commit), s.ratio,
-                 i + 1 < samples.size() ? "," : "");
-  }
-  std::fprintf(json, "  ],\n");
-  std::fprintf(json, "  \"ratio_10pct_dirty\": %.4f,\n", ratio_10);
-  std::fprintf(json, "  \"target_ratio\": 0.3,\n");
-  std::fprintf(json, "  \"roundtrip_identical\": %s,\n", roundtrips ? "true" : "false");
-  std::fprintf(json, "  \"identical_1v8\": %s,\n", identical_1v8 ? "true" : "false");
-  std::fprintf(json, "  \"holds\": %s\n}\n", holds ? "true" : "false");
-  std::fclose(json);
-  std::printf("wrote %s\n", json_path.c_str());
-  return 0;
 }

@@ -7,8 +7,10 @@
 // fault environment, and measures commit throughput, storage bandwidth,
 // detection-to-recovered latency distributions and the data-loss gate.
 //
-// CI gates (BENCH_fleet.json, path = argv[1]):
-//   * data_loss_with_intact_replica == 0 across the whole sweep,
+// Gates, checked by the bench itself (non-zero exit on a miss; writes
+// BENCH_fleet.json, path = argv[1]):
+//   * data_loss_with_intact_replica == 0 and verify_failures == 0 across
+//     the whole sweep,
 //   * commit efficiency (ok/scheduled) >= 0.9 at the largest fleet,
 //   * >= 4x commit scaling from 32 -> 512 active nodes,
 //   * 1-vs-8-worker byte-identical fleet report digests (torture on).
@@ -19,7 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "bench_common.hpp"
+#include "bench_report.hpp"
 #include "cluster/fleet.hpp"
 
 using namespace ckpt;
@@ -152,58 +154,38 @@ int main(int argc, char** argv) {
   const double scaling = static_cast<double>(large.report.commits_ok) /
                          static_cast<double>(std::max<std::uint64_t>(1, small.report.commits_ok));
 
-  std::printf("commit efficiency at %d nodes: %.3f (gate 0.9)\n", large.nodes, efficiency);
-  std::printf("commit scaling %d -> %d nodes: %.2fx (gate 4x)\n", small.nodes, large.nodes,
-              scaling);
-  std::printf("fleet report 1-vs-8-worker identical: %s\n", invariant ? "yes" : "NO");
-
-  const bool holds = data_loss == 0 && verify_failures == 0 && efficiency >= 0.9 &&
-                     scaling >= 4.0 && invariant;
-  bench::print_verdict(holds,
+  bench::Report report("bench_fleet");
+  std::vector<bench::Fields> rows;
+  for (const SweepPoint& point : sweep) {
+    rows.push_back(bench::Fields()
+                       .put("nodes", point.nodes)
+                       .put("commits_ok", point.report.commits_ok)
+                       .put("commits_scheduled", point.report.commits_scheduled)
+                       .put("commits_per_sim_s", point.commits_per_sim_s, 1)
+                       .put("storage_mb_per_sim_s", point.mb_per_sim_s, 2)
+                       .put("max_commits_one_window", point.report.max_commits_one_window)
+                       .put("replacements", point.report.replacements)
+                       .put("reseeds_from_image", point.report.reseeds_from_image)
+                       .put("detect_p50_ms", ms(point.detect_p50), 1)
+                       .put("detect_p99_ms", ms(point.detect_p99), 1)
+                       .put("recover_p50_ms", ms(point.recover_p50), 1)
+                       .put("recover_p99_ms", ms(point.recover_p99), 1)
+                       .put("data_loss", point.report.data_loss_with_intact_replica));
+  }
+  report.put("windows", kWindows)
+      .put("sweep", rows)
+      .put("data_loss_with_intact_replica", data_loss)
+      .put("verify_failures", verify_failures)
+      .put("efficiency_at_512", efficiency, 4)
+      .put("scaling_32_to_512", scaling, 4)
+      .put("identical_1v8", invariant);
+  report.gate("data_loss_with_intact_replica", static_cast<double>(data_loss), bench::Op::kEq, 0)
+      .gate("verify_failures", static_cast<double>(verify_failures), bench::Op::kEq, 0)
+      .gate("efficiency_at_512", efficiency, bench::Op::kGe, 0.9)
+      .gate("scaling_32_to_512", scaling, bench::Op::kGe, 4.0)
+      .gate("identical_1v8", invariant);
+  return report.finish(json_path,
                        "autonomic initiation scales: staggered shards keep the "
                        "commit stream level while detection, replacement and "
                        "re-seeding absorb continuous failures without data loss");
-
-  std::FILE* json = std::fopen(json_path.c_str(), "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(json, "{\n  \"bench\": \"bench_fleet\",\n");
-  std::fprintf(json, "  \"windows\": %llu,\n", static_cast<unsigned long long>(kWindows));
-  std::fprintf(json, "  \"sweep\": [\n");
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    const SweepPoint& point = sweep[i];
-    std::fprintf(json,
-                 "    {\"nodes\": %d, \"commits_ok\": %llu, \"commits_scheduled\": %llu, "
-                 "\"commits_per_sim_s\": %.1f, \"storage_mb_per_sim_s\": %.2f, "
-                 "\"max_commits_one_window\": %llu, \"replacements\": %llu, "
-                 "\"reseeds_from_image\": %llu, \"detect_p50_ms\": %.1f, "
-                 "\"detect_p99_ms\": %.1f, \"recover_p50_ms\": %.1f, "
-                 "\"recover_p99_ms\": %.1f, \"data_loss\": %llu}%s\n",
-                 point.nodes, static_cast<unsigned long long>(point.report.commits_ok),
-                 static_cast<unsigned long long>(point.report.commits_scheduled),
-                 point.commits_per_sim_s, point.mb_per_sim_s,
-                 static_cast<unsigned long long>(point.report.max_commits_one_window),
-                 static_cast<unsigned long long>(point.report.replacements),
-                 static_cast<unsigned long long>(point.report.reseeds_from_image),
-                 ms(point.detect_p50), ms(point.detect_p99), ms(point.recover_p50),
-                 ms(point.recover_p99),
-                 static_cast<unsigned long long>(point.report.data_loss_with_intact_replica),
-                 i + 1 < sweep.size() ? "," : "");
-  }
-  std::fprintf(json, "  ],\n");
-  std::fprintf(json, "  \"data_loss_with_intact_replica\": %llu,\n",
-               static_cast<unsigned long long>(data_loss));
-  std::fprintf(json, "  \"verify_failures\": %llu,\n",
-               static_cast<unsigned long long>(verify_failures));
-  std::fprintf(json, "  \"efficiency_at_512\": %.4f,\n", efficiency);
-  std::fprintf(json, "  \"target_efficiency\": 0.9,\n");
-  std::fprintf(json, "  \"scaling_32_to_512\": %.4f,\n", scaling);
-  std::fprintf(json, "  \"target_scaling\": 4.0,\n");
-  std::fprintf(json, "  \"identical_1v8\": %s,\n", invariant ? "true" : "false");
-  std::fprintf(json, "  \"holds\": %s\n}\n", holds ? "true" : "false");
-  std::fclose(json);
-  std::printf("wrote %s\n", json_path.c_str());
-  return 0;
 }

@@ -8,17 +8,18 @@
 // with one group-commit sync shared by all concurrent writers, and drains to
 // the replicated store off the critical path.  This bench quantifies the gap
 // on the simulated device model: 4 concurrent writers, identical image
-// streams, mean critical-path sim-time per commit.  The CI gate requires the
+// streams, mean critical-path sim-time per commit.  The gate requires the
 // append path >= 1.5x faster at 4 writers (the measured headline is far
 // higher), plus worker-count-invariant log/home contents.
 //
 // Deterministic (sim + seeded rng; no host timing).  Emits BENCH_journal.json
-// (path = argv[1], default ./BENCH_journal.json) for the CI archive + gate.
+// (path = argv[1], default ./BENCH_journal.json) and exits non-zero when a
+// gate fails.
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "bench_common.hpp"
+#include "bench_report.hpp"
 #include "storage/backend.hpp"
 #include "storage/image.hpp"
 #include "storage/journal.hpp"
@@ -200,34 +201,19 @@ int main(int argc, char** argv) {
                  util::format_double(static_cast<double>(append.background_total) / 1e6, 3)});
   bench::print_table(table);
 
-  std::printf("append-commit speedup at %llu writers: %.2fx (gate 1.5x)\n",
-              static_cast<unsigned long long>(kWriters), speedup);
-  std::printf("log/home contents 1-vs-8-worker identical: %s\n", invariant ? "yes" : "NO");
-
-  const bool holds = speedup >= 1.5 && invariant;
-  bench::print_verdict(holds,
+  bench::Report report("bench_journal");
+  report.put("writers", kWriters)
+      .put("commits", append.commits)
+      .put("two_phase_ms_per_commit", two_phase.per_commit_ms(), 4)
+      .put("append_commit_ms_per_commit", append.per_commit_ms(), 4)
+      .put("migrator_background_ms_total", static_cast<double>(append.background_total) / 1e6,
+           4)
+      .put("speedup_append_4writers", speedup, 4)
+      .put("identical_1v8", invariant);
+  report.gate("speedup_append_4writers", speedup, bench::Op::kGe, 1.5)
+      .gate("identical_1v8", invariant);
+  return report.finish(json_path,
                        "commit initiation is decoupled from replica publication: "
                        "appends + one shared sync beat stage+verify+publish per "
                        "replica, and the migrator never changes observable state");
-
-  std::FILE* json = std::fopen(json_path.c_str(), "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(json, "{\n  \"bench\": \"bench_journal\",\n");
-  std::fprintf(json, "  \"writers\": %llu,\n", static_cast<unsigned long long>(kWriters));
-  std::fprintf(json, "  \"commits\": %llu,\n",
-               static_cast<unsigned long long>(append.commits));
-  std::fprintf(json, "  \"two_phase_ms_per_commit\": %.4f,\n", two_phase.per_commit_ms());
-  std::fprintf(json, "  \"append_commit_ms_per_commit\": %.4f,\n", append.per_commit_ms());
-  std::fprintf(json, "  \"migrator_background_ms_total\": %.4f,\n",
-               static_cast<double>(append.background_total) / 1e6);
-  std::fprintf(json, "  \"speedup_append_4writers\": %.4f,\n", speedup);
-  std::fprintf(json, "  \"target_speedup\": 1.5,\n");
-  std::fprintf(json, "  \"identical_1v8\": %s,\n", invariant ? "true" : "false");
-  std::fprintf(json, "  \"holds\": %s\n}\n", holds ? "true" : "false");
-  std::fclose(json);
-  std::printf("wrote %s\n", json_path.c_str());
-  return 0;
 }

@@ -10,7 +10,8 @@
 // bandwidth at send time and resident bytes between checkpoints — which this
 // bench reports alongside the latency win.
 //
-// CI gates (BENCH_mpi.json, path = argv[1]):
+// Gates, checked by the bench itself (non-zero exit on a miss; writes
+// BENCH_mpi.json, path = argv[1]):
 //   * uncoordinated mean commit latency < the coordinated barrier
 //     (quiesce-to-resume: drain + serialized images) at every sweep point
 //     with >= 128 ranks, and flat in rank count (the barrier grows ~linearly
@@ -29,7 +30,7 @@
 #include <string>
 #include <vector>
 
-#include "bench_common.hpp"
+#include "bench_report.hpp"
 #include "cluster/mpi.hpp"
 #include "cluster/uncoordinated.hpp"
 #include "core/systemlevel.hpp"
@@ -277,7 +278,6 @@ int main(int argc, char** argv) {
 
   std::printf("crash replay: %s\n", serial.summary().c_str());
   std::printf("double failure + journal: %s\n", doubled.summary().c_str());
-  std::printf("replay report 1-vs-8-worker identical: %s\n", identical_1v8 ? "yes" : "NO");
   std::printf(
       "rollback depth: single/volatile=%u double/journal=%u double/volatile=%u "
       "(width %u) metadata-only refused=%s\n",
@@ -290,60 +290,49 @@ int main(int argc, char** argv) {
   std::printf("uncoordinated commit mean across sweep: %.3f..%.3f ms (flat: %s)\n",
               ms(commit_mean_min), ms(commit_mean_max), commit_flat ? "yes" : "NO");
 
-  const bool depth_ok = depth.single_volatile == 1 && depth.double_journal == 1 &&
-                        depth.metadata_only_refused;
-  const bool holds = all_ok && beats_at_128 && commit_flat && serial.ok() &&
-                     doubled.ok() && identical_1v8 && lost == 0 && depth_ok;
-  bench::print_verdict(holds,
+  bench::Report report("bench_mpi");
+  std::vector<bench::Fields> rows;
+  for (const SweepPoint& point : sweep) {
+    rows.push_back(bench::Fields()
+                       .put("nranks", point.nranks)
+                       .put("halo_bytes", point.halo_bytes)
+                       .put("drain_ms", ms(point.drain_time), 3)
+                       .put("coordinated_total_ms", ms(point.coordinated_total), 3)
+                       .put("uncoordinated_commit_mean_ms", ms(point.commit_mean), 3)
+                       .put("uncoordinated_commit_max_ms", ms(point.commit_max), 3)
+                       .put("commits", point.commits)
+                       .put("log_bytes_peak", point.log_bytes_peak)
+                       .put("messages_logged", point.messages_logged)
+                       .put("messages_trimmed", point.messages_trimmed));
+  }
+  char digest[17];
+  std::snprintf(digest, sizeof digest, "%016llx",
+                static_cast<unsigned long long>(serial.outcome_digest));
+  report.put("sweep", rows)
+      .put("uncoordinated_beats_coordinated_at_128", beats_at_128)
+      .put("commit_latency_flat", commit_flat)
+      .put("lost_messages", lost)
+      .put("duplicates_dropped", serial.duplicates_dropped + doubled.duplicates_dropped)
+      .put("replayed_messages", serial.replayed_messages)
+      .put("identical_1v8", identical_1v8)
+      .put("outcome_digest", digest)
+      .put("rollback_depth_single_volatile", depth.single_volatile)
+      .put("rollback_depth_double_journal", depth.double_journal)
+      .put("rollback_depth_double_volatile", depth.double_volatile)
+      .put("metadata_only_refused", depth.metadata_only_refused);
+  report.gate("coordinated_runs_ok", all_ok)
+      .gate("uncoordinated_beats_coordinated_at_128", beats_at_128)
+      .gate("commit_latency_flat", commit_flat)
+      .gate("crash_replay_ok", serial.ok())
+      .gate("double_failure_replay_ok", doubled.ok())
+      .gate("identical_1v8", identical_1v8)
+      .gate("lost_messages", static_cast<double>(lost), bench::Op::kEq, 0)
+      .gate("rollback_depth_single_volatile", depth.single_volatile, bench::Op::kEq, 1)
+      .gate("rollback_depth_double_journal", depth.double_journal, bench::Op::kEq, 1)
+      .gate("metadata_only_refused", depth.metadata_only_refused);
+  return report.finish(json_path,
                        "sender-based logging converts the growing drain barrier into "
                        "a flat per-rank commit, keeps every crash point lossless and "
                        "worker-count invariant, and bounds rollback at depth 1 "
                        "whenever a covering log survives");
-
-  std::FILE* json = std::fopen(json_path.c_str(), "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(json, "{\n  \"bench\": \"bench_mpi\",\n");
-  std::fprintf(json, "  \"sweep\": [\n");
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    const SweepPoint& point = sweep[i];
-    std::fprintf(json,
-                 "    {\"nranks\": %d, \"halo_bytes\": %llu, \"drain_ms\": %.3f, "
-                 "\"coordinated_total_ms\": %.3f, \"uncoordinated_commit_mean_ms\": %.3f, "
-                 "\"uncoordinated_commit_max_ms\": %.3f, \"commits\": %llu, "
-                 "\"log_bytes_peak\": %llu, \"messages_logged\": %llu, "
-                 "\"messages_trimmed\": %llu}%s\n",
-                 point.nranks, static_cast<unsigned long long>(point.halo_bytes),
-                 ms(point.drain_time), ms(point.coordinated_total), ms(point.commit_mean),
-                 ms(point.commit_max), static_cast<unsigned long long>(point.commits),
-                 static_cast<unsigned long long>(point.log_bytes_peak),
-                 static_cast<unsigned long long>(point.messages_logged),
-                 static_cast<unsigned long long>(point.messages_trimmed),
-                 i + 1 < sweep.size() ? "," : "");
-  }
-  std::fprintf(json, "  ],\n");
-  std::fprintf(json, "  \"uncoordinated_beats_coordinated_at_128\": %s,\n",
-               beats_at_128 ? "true" : "false");
-  std::fprintf(json, "  \"commit_latency_flat\": %s,\n", commit_flat ? "true" : "false");
-  std::fprintf(json, "  \"lost_messages\": %llu,\n",
-               static_cast<unsigned long long>(lost));
-  std::fprintf(json, "  \"duplicates_dropped\": %llu,\n",
-               static_cast<unsigned long long>(serial.duplicates_dropped +
-                                               doubled.duplicates_dropped));
-  std::fprintf(json, "  \"replayed_messages\": %llu,\n",
-               static_cast<unsigned long long>(serial.replayed_messages));
-  std::fprintf(json, "  \"identical_1v8\": %s,\n", identical_1v8 ? "true" : "false");
-  std::fprintf(json, "  \"outcome_digest\": \"%016llx\",\n",
-               static_cast<unsigned long long>(serial.outcome_digest));
-  std::fprintf(json, "  \"rollback_depth_single_volatile\": %u,\n", depth.single_volatile);
-  std::fprintf(json, "  \"rollback_depth_double_journal\": %u,\n", depth.double_journal);
-  std::fprintf(json, "  \"rollback_depth_double_volatile\": %u,\n", depth.double_volatile);
-  std::fprintf(json, "  \"metadata_only_refused\": %s,\n",
-               depth.metadata_only_refused ? "true" : "false");
-  std::fprintf(json, "  \"holds\": %s\n}\n", holds ? "true" : "false");
-  std::fclose(json);
-  std::printf("wrote %s\n", json_path.c_str());
-  return 0;
 }

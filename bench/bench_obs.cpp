@@ -6,18 +6,18 @@
 // and a periodic telemetry rollup.  The instrumentation discipline — one
 // pointer test per hook when disabled, ledgered replay on the caller when
 // enabled — is only honest if the enabled paths stay within noise, so the
-// CI gate requires < 2% throughput overhead for BOTH arms on the
+// gate requires < 2% throughput overhead for BOTH arms on the
 // large-image 3-way 4-worker commit loop.
 //
 // Host wall-clock only.  Emits BENCH_obs.json (path = argv[1], default
-// ./BENCH_obs.json) for the CI archive + gate.
+// ./BENCH_obs.json) and exits non-zero when either arm exceeds 2%.
 #include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "bench_common.hpp"
+#include "bench_report.hpp"
 #include "obs/flightrec.hpp"
 #include "obs/observer.hpp"
 #include "obs/rollup.hpp"
@@ -212,26 +212,17 @@ int main(int argc, char** argv) {
   std::printf("events per observed commit: %zu\n", events_per_commit);
   std::printf("enabled-tracing overhead: %.3f%%\n", overhead_pct);
   std::printf("flight+rollup overhead: %.3f%%\n", flight_overhead_pct);
-  const bool holds = overhead_pct < 2.0 && flight_overhead_pct < 2.0;
-  bench::print_verdict(holds,
+
+  bench::Report report("bench_obs");
+  report.put("secs_per_commit_disabled", off, 6)
+      .put("secs_per_commit_enabled", on, 6)
+      .put("secs_per_commit_flight", flight, 6)
+      .put("events_per_commit", events_per_commit)
+      .put("overhead_pct", overhead_pct, 4)
+      .put("flight_overhead_pct", flight_overhead_pct, 4);
+  report.gate("overhead_pct", overhead_pct, bench::Op::kLt, 2.0)
+      .gate("flight_overhead_pct", flight_overhead_pct, bench::Op::kLt, 2.0);
+  return report.finish(json_path,
                        "trace+metrics AND flight-recorder+rollups stay under 2% "
                        "commit overhead");
-
-  std::FILE* json = std::fopen(json_path.c_str(), "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(json, "{\n  \"bench\": \"bench_obs\",\n");
-  std::fprintf(json, "  \"secs_per_commit_disabled\": %.6f,\n", off);
-  std::fprintf(json, "  \"secs_per_commit_enabled\": %.6f,\n", on);
-  std::fprintf(json, "  \"secs_per_commit_flight\": %.6f,\n", flight);
-  std::fprintf(json, "  \"events_per_commit\": %zu,\n", events_per_commit);
-  std::fprintf(json, "  \"overhead_pct\": %.4f,\n", overhead_pct);
-  std::fprintf(json, "  \"flight_overhead_pct\": %.4f,\n", flight_overhead_pct);
-  std::fprintf(json, "  \"target_overhead_pct\": 2.0,\n");
-  std::fprintf(json, "  \"holds\": %s\n}\n", holds ? "true" : "false");
-  std::fclose(json);
-  std::printf("wrote %s\n", json_path.c_str());
-  return 0;
 }

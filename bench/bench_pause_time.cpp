@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "bench_common.hpp"
+#include "bench_report.hpp"
 #include "core/systemlevel.hpp"
 #include "storage/replicated.hpp"
 #include "util/threadpool.hpp"
@@ -205,52 +205,28 @@ int main(int argc, char** argv) {
     }
   }
   const bool deterministic = identical_1v8(sizes.back(), dirty_rates.back());
-  std::printf(
-      "pause reduction (largest image, min over dirty rates and commits): "
-      "%.1fx\n",
-      reduction_large);
-  std::printf("1-vs-8-worker streamed commit identical: %s\n",
-              deterministic ? "yes" : "NO");
-  const bool holds = deterministic && reduction_large >= 10.0;
-  bench::print_verdict(
-      holds,
-      "fork-snapshot streaming cuts the guest-visible pause by >= 10x at the "
-      "largest image while staying byte-identical for any worker count");
-
-  std::FILE* json = std::fopen(json_path.c_str(), "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(json, "{\n  \"bench\": \"bench_pause_time\",\n");
-  std::fprintf(json, "  \"identical_1v8\": %s,\n", deterministic ? "true" : "false");
-  std::fprintf(json, "  \"pause_reduction_large\": %.4f,\n", reduction_large);
-  std::fprintf(json, "  \"target_reduction\": 10.0,\n");
-  std::fprintf(json, "  \"holds\": %s,\n", holds ? "true" : "false");
-  std::fprintf(json, "  \"points\": [\n");
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const Point& p = points[i];
-    const Sample* samples[] = {&p.full, &p.delta};
-    const char* kinds[] = {"full", "delta"};
-    for (std::size_t k = 0; k < 2; ++k) {
-      const Sample& s = *samples[k];
-      std::fprintf(json,
-                   "    {\"image_bytes\": %llu, \"writes_per_step\": %llu, "
-                   "\"commit\": \"%s\", "
-                   "\"stop_pause_ns\": %llu, \"stream_pause_ns\": %llu, "
-                   "\"pause_reduction\": %.4f, \"stop_commit_ns\": %llu, "
-                   "\"stream_commit_ns\": %llu}%s\n",
-                   static_cast<unsigned long long>(p.array_bytes),
-                   static_cast<unsigned long long>(p.writes_per_step), kinds[k],
-                   static_cast<unsigned long long>(s.stop_pause),
-                   static_cast<unsigned long long>(s.stream_pause), s.reduction,
-                   static_cast<unsigned long long>(s.stop_total),
-                   static_cast<unsigned long long>(s.stream_total),
-                   i + 1 < points.size() || k == 0 ? "," : "");
+  bench::Report report("bench_pause_time");
+  std::vector<bench::Fields> rows;
+  for (const Point& p : points) {
+    for (const auto& [kind, s] : {std::pair{"full", &p.full}, std::pair{"delta", &p.delta}}) {
+      rows.push_back(bench::Fields()
+                         .put("image_bytes", p.array_bytes)
+                         .put("writes_per_step", p.writes_per_step)
+                         .put("commit", kind)
+                         .put("stop_pause_ns", s->stop_pause)
+                         .put("stream_pause_ns", s->stream_pause)
+                         .put("pause_reduction", s->reduction, 4)
+                         .put("stop_commit_ns", s->stop_total)
+                         .put("stream_commit_ns", s->stream_total));
     }
   }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
-  std::printf("wrote %s\n", json_path.c_str());
-  return holds ? 0 : 1;
+  report.put("identical_1v8", deterministic)
+      .put("pause_reduction_large", reduction_large, 4)
+      .put("points", rows);
+  report.gate("identical_1v8", deterministic)
+      .gate("pause_reduction_large", reduction_large, bench::Op::kGe, 10.0);
+  return report.finish(
+      json_path,
+      "fork-snapshot streaming cuts the guest-visible pause by >= 10x at the "
+      "largest image while staying byte-identical for any worker count");
 }

@@ -11,14 +11,14 @@
 // Host wall-clock only — simulated-time charges are not involved (and the
 // determinism check asserts the pipeline never changes observable state).
 // Emits BENCH_pipeline.json (path = argv[1], default ./BENCH_pipeline.json)
-// for the CI archive + regression gate.
+// and exits non-zero when a fail-level gate fails.
 #include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "bench_common.hpp"
+#include "bench_report.hpp"
 #include "storage/backend.hpp"
 #include "storage/image.hpp"
 #include "storage/replicated.hpp"
@@ -191,8 +191,6 @@ int main(int argc, char** argv) {
       "serial bytewise commit loop (section 4.1 concurrent-commit branch)");
 
   const bool deterministic = identical_1v8();
-  std::printf("determinism: 1-worker and 8-worker stores bit-identical: %s\n\n",
-              deterministic ? "yes" : "NO");
 
   util::ThreadPool pool1(1), pool2(2), pool4(4), pool8(8);
   const std::vector<std::pair<unsigned, util::ThreadPool*>> pools{
@@ -230,34 +228,27 @@ int main(int argc, char** argv) {
       legacy_large_3way > 0 ? pipeline_large_3way_4w / legacy_large_3way : 0;
   std::printf("speedup (large image, 3-way, 4 workers vs legacy serial): %.2fx\n",
               speedup);
-  bench::print_verdict(
-      deterministic && speedup >= 2.0,
-      "the commit pipeline is >= 2x the serial path on large 3-way commits "
-      "while leaving bit-identical replica state for any worker count");
-
-  std::FILE* json = std::fopen(json_path.c_str(), "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
+  bench::Report report("bench_pipeline");
+  std::vector<bench::Fields> rows;
+  for (const Result& r : results) {
+    rows.push_back(bench::Fields()
+                       .put("mode", r.mode)
+                       .put("workers", r.workers)
+                       .put("replicas", r.replicas)
+                       .put("image", r.image)
+                       .put("blob_bytes", r.blob_bytes)
+                       .put("commits_per_sec", r.commits_per_sec, 4)
+                       .put("mb_per_sec", r.mb_per_sec, 4));
   }
-  std::fprintf(json, "{\n  \"bench\": \"bench_pipeline\",\n");
-  std::fprintf(json, "  \"identical_1v8\": %s,\n", deterministic ? "true" : "false");
-  std::fprintf(json, "  \"speedup_large_3way_4workers\": %.4f,\n", speedup);
-  std::fprintf(json, "  \"target_speedup\": 2.0,\n");
-  std::fprintf(json, "  \"holds\": %s,\n",
-               deterministic && speedup >= 2.0 ? "true" : "false");
-  std::fprintf(json, "  \"configs\": [\n");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const Result& r = results[i];
-    std::fprintf(json,
-                 "    {\"mode\": \"%s\", \"workers\": %u, \"replicas\": %u, "
-                 "\"image\": \"%s\", \"blob_bytes\": %zu, "
-                 "\"commits_per_sec\": %.4f, \"mb_per_sec\": %.4f}%s\n",
-                 r.mode.c_str(), r.workers, r.replicas, r.image.c_str(), r.blob_bytes,
-                 r.commits_per_sec, r.mb_per_sec, i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
-  std::printf("wrote %s\n", json_path.c_str());
-  return deterministic ? 0 : 1;
+  report.put("identical_1v8", deterministic)
+      .put("speedup_large_3way_4workers", speedup, 4)
+      .put("configs", rows);
+  // A loose 1.3x floor so a noisy shared runner cannot flake the build; the
+  // 2x headline target only warns.
+  report.gate("identical_1v8", deterministic)
+      .gate("speedup_large_3way_4workers", speedup, bench::Op::kGe, 1.3)
+      .gate("speedup_large_3way_4workers", speedup, bench::Op::kGe, 2.0, bench::Level::kWarn);
+  return report.finish(json_path,
+                       "the commit pipeline is >= 2x the serial path on large 3-way commits "
+                       "while leaving bit-identical replica state for any worker count");
 }

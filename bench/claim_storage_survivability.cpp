@@ -215,8 +215,9 @@ int main() {
             ? 1.0
             : static_cast<double>(report.restarts_ok) /
                   static_cast<double>(report.restarts_ok + lost);
-    // The CI gate: losing a restart while an intact replica of a committed
-    // image existed is exactly an unexpected_failure in the harness model.
+    // Losing a restart while an intact replica of a committed image existed
+    // is exactly an unexpected_failure in the harness model; any such event
+    // turns the verdict below into [DEVIATES], which fails CI.
     data_loss_with_intact += report.unexpected_failures + report.scrub_failures;
     if (width == 1) rate_1way = rate;
     if (width == 2) rate_2way = rate;

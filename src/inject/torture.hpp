@@ -171,8 +171,9 @@ class TortureHarness {
   /// per-run kernel, and every random draw derives from options.seed, so
   /// the same options replay the identical soak bit-for-bit — including
   /// under any `workers` value and with any observer attached.  Throws
-  /// std::invalid_argument on inconsistent options (replicas < 2 in
-  /// replicated mode, dedup without replicated_storage).
+  /// std::invalid_argument on an unknown mechanism or inconsistent options
+  /// (replicas < 2 in replicated mode, dedup or journal without
+  /// replicated_storage, an unreplicated engine with no blob-store backend).
   TortureReport run(const TortureTarget& target);
 
   /// run() for each target in order, each from the same seed (targets are

@@ -114,6 +114,13 @@ std::optional<std::uint64_t> BlobStoreBackend::blob_crc64(ImageId id,
   return util::crc64(it->second);
 }
 
+ImageId BlobStoreBackend::store(const CheckpointImage& image, const ChargeFn& charge) {
+  if (media_lost()) return kBadImageId;
+  auto blob = image.serialize();
+  if (charge) charge(io_cost(blob.size()));
+  return put_blob(std::move(blob));
+}
+
 ImageId BlobStoreBackend::put_raw(std::vector<std::byte> blob, const ChargeFn& charge) {
   if (!reachable()) return kBadImageId;
   if (charge) charge(io_cost(blob.size()));
@@ -162,43 +169,6 @@ std::uint64_t BlobStoreBackend::stored_bytes() const {
   std::uint64_t total = 0;
   for (const auto& [id, blob] : blobs_) total += blob.size();
   return total;
-}
-
-// ---------------------------------------------------------------------------
-// LocalDiskBackend
-// ---------------------------------------------------------------------------
-
-ImageId LocalDiskBackend::store(const CheckpointImage& image, const ChargeFn& charge) {
-  if (failed_) return kBadImageId;
-  auto blob = image.serialize();
-  if (charge) charge(io_cost(blob.size()));
-  return put_blob(std::move(blob));
-}
-
-std::optional<CheckpointImage> LocalDiskBackend::load(ImageId id, const ChargeFn& charge) {
-  if (failed_) return std::nullopt;  // node down: data unreachable
-  return BlobStoreBackend::load(id, charge);
-}
-
-// ---------------------------------------------------------------------------
-// RemoteBackend
-// ---------------------------------------------------------------------------
-
-ImageId RemoteBackend::store(const CheckpointImage& image, const ChargeFn& charge) {
-  auto blob = image.serialize();
-  if (charge) charge(io_cost(blob.size()));
-  return put_blob(std::move(blob));
-}
-
-// ---------------------------------------------------------------------------
-// MemoryBackend
-// ---------------------------------------------------------------------------
-
-ImageId MemoryBackend::store(const CheckpointImage& image, const ChargeFn& charge) {
-  if (power_cycled_) return kBadImageId;
-  auto blob = image.serialize();
-  if (charge) charge(io_cost(blob.size()));
-  return put_blob(std::move(blob));
 }
 
 // ---------------------------------------------------------------------------

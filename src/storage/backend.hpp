@@ -84,10 +84,14 @@ const char* to_string(StoreFault fault);
 /// Common base holding serialized blobs keyed by id.
 class BlobStoreBackend : public StorageBackend {
  public:
+  /// Serialize, charge io_cost, persist.  A lost medium refuses before it
+  /// charges; an outage charges io_cost, then the write is refused.
+  ImageId store(const CheckpointImage& image, const ChargeFn& charge) override;
   std::optional<CheckpointImage> load(ImageId id, const ChargeFn& charge) override;
   bool erase(ImageId id) override;
   [[nodiscard]] std::vector<ImageId> list() const override;
   [[nodiscard]] std::uint64_t stored_bytes() const override;
+  [[nodiscard]] bool reachable() const override { return !media_lost() && !outage_; }
 
   // --- Fault-injection hooks (src/inject) -----------------------------------
   /// Arm a one-shot fault on the next store(); consumed whether or not the
@@ -116,8 +120,7 @@ class BlobStoreBackend : public StorageBackend {
   [[nodiscard]] ImageId newest_id() const;
 
   /// Transient outage: the backend is unreachable (stores rejected, loads
-  /// fail) until cleared.  Orthogonal to permanent failure state such as
-  /// LocalDiskBackend::fail_node(); data is untouched.
+  /// fail) until cleared.  Orthogonal to media_lost(); data is untouched.
   void set_outage(bool outage) { outage_ = outage; }
   [[nodiscard]] bool in_outage() const { return outage_; }
 
@@ -176,6 +179,9 @@ class BlobStoreBackend : public StorageBackend {
   [[nodiscard]] std::size_t open_stages() const { return staged_.size(); }
 
  protected:
+  /// The medium itself is gone (a failed node, power-cycled RAM) -- never
+  /// true for a remote.  Unlike an outage, nothing is charged first.
+  [[nodiscard]] bool media_lost() const { return media_lost_; }
   /// Persist `blob`, honouring any armed store fault and outage state.
   ImageId put_blob(std::vector<std::byte> blob);
   /// Consume the armed one-shot fault, honouring the skip counter: each
@@ -192,6 +198,7 @@ class BlobStoreBackend : public StorageBackend {
   StoreFault store_fault_ = StoreFault::kNone;
   std::uint64_t fault_skip_ops_ = 0;
   bool outage_ = false;
+  bool media_lost_ = false;
 };
 
 /// Node-local disk.  fail_node() models the machine dying: blobs become
@@ -200,15 +207,12 @@ class LocalDiskBackend final : public BlobStoreBackend {
  public:
   explicit LocalDiskBackend(sim::CostModel costs) : costs_(costs) {}
 
-  ImageId store(const CheckpointImage& image, const ChargeFn& charge) override;
-  std::optional<CheckpointImage> load(ImageId id, const ChargeFn& charge) override;
   [[nodiscard]] StorageLocality locality() const override {
     return StorageLocality::kLocalDisk;
   }
-  [[nodiscard]] bool reachable() const override { return !failed_ && !outage_; }
 
-  void fail_node() { failed_ = true; }
-  void recover_node() { failed_ = false; }
+  void fail_node() { media_lost_ = true; }
+  void recover_node() { media_lost_ = false; }
 
  protected:
   [[nodiscard]] SimTime io_cost(std::uint64_t bytes) const override {
@@ -217,7 +221,6 @@ class LocalDiskBackend final : public BlobStoreBackend {
 
  private:
   sim::CostModel costs_;
-  bool failed_ = false;
 };
 
 /// Network-attached stable storage: every transfer pays network plus remote
@@ -226,9 +229,7 @@ class RemoteBackend final : public BlobStoreBackend {
  public:
   explicit RemoteBackend(sim::CostModel costs) : costs_(costs) {}
 
-  ImageId store(const CheckpointImage& image, const ChargeFn& charge) override;
   [[nodiscard]] StorageLocality locality() const override { return StorageLocality::kRemote; }
-  [[nodiscard]] bool reachable() const override { return !outage_; }
 
  protected:
   [[nodiscard]] SimTime io_cost(std::uint64_t bytes) const override {
@@ -244,14 +245,12 @@ class MemoryBackend final : public BlobStoreBackend {
  public:
   explicit MemoryBackend(sim::CostModel costs) : costs_(costs) {}
 
-  ImageId store(const CheckpointImage& image, const ChargeFn& charge) override;
   [[nodiscard]] StorageLocality locality() const override {
     return StorageLocality::kVolatileMemory;
   }
-  [[nodiscard]] bool reachable() const override { return !power_cycled_ && !outage_; }
 
   void power_cycle() {
-    power_cycled_ = true;
+    media_lost_ = true;
     blobs_.clear();
   }
 
@@ -262,7 +261,6 @@ class MemoryBackend final : public BlobStoreBackend {
 
  private:
   sim::CostModel costs_;
-  bool power_cycled_ = false;
 };
 
 /// No stable storage at all: store() succeeds (the image is handed to a

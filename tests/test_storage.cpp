@@ -394,6 +394,39 @@ TEST(BackendFaults, OutageIsTransientAndPreservesData) {
   EXPECT_TRUE(backend.load(id, nullptr).has_value());  // data was untouched
 }
 
+// A lost medium refuses a store before charging anything; an outage charges
+// the write's io_cost and only then refuses it.
+TEST(BackendFaults, LostMediumRefusesBeforeChargingOutageAfter) {
+  const sim::CostModel costs{};
+  const CheckpointImage image = make_image(1);
+  const SimTime write_cost = costs.disk_cost(image.serialized_size());
+  SimTime charged = 0;
+  const ChargeFn charge = [&](SimTime t) { charged += t; };
+
+  LocalDiskBackend failed{costs};
+  failed.fail_node();
+  EXPECT_EQ(failed.store(image, charge), kBadImageId);
+  EXPECT_EQ(charged, 0u);
+
+  MemoryBackend cycled{costs};
+  cycled.power_cycle();
+  EXPECT_FALSE(cycled.reachable());
+  EXPECT_EQ(cycled.store(image, charge), kBadImageId);
+  EXPECT_EQ(charged, 0u);
+
+  LocalDiskBackend both{costs};
+  both.fail_node();
+  both.set_outage(true);
+  EXPECT_EQ(both.store(image, charge), kBadImageId);
+  EXPECT_EQ(charged, 0u);
+
+  LocalDiskBackend outage{costs};
+  outage.set_outage(true);
+  EXPECT_EQ(outage.store(image, charge), kBadImageId);
+  EXPECT_EQ(charged, write_cost);
+  EXPECT_TRUE(outage.list().empty());
+}
+
 TEST_F(ChainTest, CorruptedDeltaFailsReconstruction) {
   chain_.append(make_image(1), nullptr);
   const ImageId delta_id =
