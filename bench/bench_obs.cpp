@@ -7,12 +7,18 @@
 // pointer test per hook when disabled, ledgered replay on the caller when
 // enabled — is only honest if the enabled paths stay within noise, so the
 // gate requires < 2% throughput overhead for BOTH arms on the
-// large-image 3-way 4-worker commit loop.
+// large-image 3-way 4-worker commit loop.  The three arms are built once and
+// commit in rotating order, one commit each per round, and each arm's
+// figure is the median of its per-commit times, so a slow stretch of a
+// shared host lands on every arm instead of on whichever ran through it.
 //
 // Host wall-clock only.  Emits BENCH_obs.json (path = argv[1], default
 // ./BENCH_obs.json) and exits non-zero when either arm exceeds 2%.
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -77,23 +83,27 @@ struct ReplicaSet {
   }
 };
 
-template <typename Fn>
-double seconds_per_commit(int iters, Fn&& commit) {
-  commit();  // warmup
-  const auto start = std::chrono::steady_clock::now();
-  for (int i = 0; i < iters; ++i) commit();
-  const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
-  return elapsed.count() / iters;
-}
-
-double measure(const storage::CheckpointImage& image, util::ThreadPool& pool,
-               obs::Observer* observer, int iters) {
-  ReplicaSet set(3);
+storage::ReplicatedOptions store_options(util::ThreadPool& pool, obs::Observer* observer) {
   storage::ReplicatedOptions options;
   options.pool = &pool;
   options.observer = observer;
-  storage::ReplicatedStore store(set.replicas, options);
-  return seconds_per_commit(iters, [&] {
+  return options;
+}
+
+/// A 3-way store committing `image` and erasing it again, with `observer`
+/// attached (nullptr: observability disabled).
+struct CommitArm {
+  const storage::CheckpointImage& image;
+  obs::Observer* observer;
+  ReplicaSet set{3};
+  storage::ReplicatedStore store;
+
+  CommitArm(const storage::CheckpointImage& image_in, util::ThreadPool& pool,
+            obs::Observer* observer_in)
+      : image(image_in), observer(observer_in),
+        store(set.replicas, store_options(pool, observer_in)) {}
+
+  void commit() {
     const storage::StoreReceipt receipt = store.store_verbose(image, nullptr);
     if (!receipt.ok()) {
       std::fprintf(stderr, "commit failed?!\n");
@@ -103,62 +113,64 @@ double measure(const storage::CheckpointImage& image, util::ThreadPool& pool,
     // A long-lived deployment drains the trace between checkpoints; clear
     // per commit so memory growth never masquerades as tracing cost.
     if (observer != nullptr) observer->reset();
-  });
-}
+  }
+};
 
-// The fleet-soak per-commit observability recipe: bracket the commit with
-// flight-recorder spans, persist the black box through the journal before
-// and after (the crash-surviving protocol), fold per-node metrics, and
-// refresh the telemetry rollup every 8th commit.
-double measure_flight(const storage::CheckpointImage& image, util::ThreadPool& pool,
-                      obs::Observer* observer, int iters) {
-  ReplicaSet set(3);
-  storage::ReplicatedOptions options;
-  options.pool = &pool;
-  options.observer = observer;
-  storage::ReplicatedStore store(set.replicas, options);
-
+/// The fleet-soak per-commit observability recipe around a CommitArm:
+/// bracket the commit with flight-recorder spans, persist the black box
+/// through the journal before and after (the crash-surviving protocol),
+/// fold per-node metrics, and refresh the telemetry rollup every 8th commit.
+struct FlightArm {
+  CommitArm inner;
   sim::CostModel costs;
-  storage::LocalDiskBackend journal_home(costs);
-  storage::JournalOptions joptions;
-  joptions.observer = observer;
-  storage::LogStructuredBackend journal(&journal_home, joptions);
-  const auto charge = [](SimTime) {};
-
+  storage::LocalDiskBackend journal_home{costs};
+  storage::LogStructuredBackend journal;
   obs::FlightRecorder flight;
   obs::MetricsRegistry node_metrics;
   obs::FleetTelemetry telemetry;
   std::uint64_t seq = 0;
   std::string rollup;
-  return seconds_per_commit(iters, [&] {
-    ++seq;
-    const SimTime now = static_cast<SimTime>(seq) * 1000;
-    flight.span_begin(now, "commit", seq);
-    if (!journal.append_flight_record(0, flight.serialize(), charge)) {
+
+  static storage::JournalOptions journal_options(obs::Observer* observer) {
+    storage::JournalOptions options;
+    options.observer = observer;
+    return options;
+  }
+
+  FlightArm(const storage::CheckpointImage& image, util::ThreadPool& pool,
+            obs::Observer* observer)
+      : inner(image, pool, observer), journal(&journal_home, journal_options(observer)) {}
+
+  void persist() {
+    if (!journal.append_flight_record(0, flight.serialize(), [](SimTime) {})) {
       std::fprintf(stderr, "flight append failed?!\n");
       std::exit(1);
     }
-    const storage::StoreReceipt receipt = store.store_verbose(image, nullptr);
-    if (!receipt.ok()) {
-      std::fprintf(stderr, "commit failed?!\n");
-      std::exit(1);
-    }
+  }
+
+  void commit() {
+    ++seq;
+    const SimTime now = static_cast<SimTime>(seq) * 1000;
+    flight.span_begin(now, "commit", seq);
+    persist();
+    inner.commit();
     flight.span_end(now + 500, "commit", seq);
     flight.counter(now + 500, "commits", seq);
     node_metrics.add("node.commits");
     node_metrics.observe("node.commit_latency_ns", 500,
                          obs::MetricsRegistry::latency_bounds());
-    if (!journal.append_flight_record(0, flight.serialize(), charge)) {
-      std::fprintf(stderr, "flight append failed?!\n");
-      std::exit(1);
-    }
+    persist();
     if (seq % 8 == 0) {
       telemetry.ingest(0, node_metrics);
       rollup = telemetry.rollup_json("node.commit_latency_ns");
     }
-    store.erase(receipt.id);
-    if (observer != nullptr) observer->reset();
-  });
+  }
+};
+
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid] : (values[mid - 1] + values[mid]) / 2;
 }
 
 }  // namespace
@@ -173,31 +185,40 @@ int main(int argc, char** argv) {
 
   const storage::CheckpointImage image = make_image(32, 64, 0xBE7C);  // ~8 MiB
   util::ThreadPool pool(4);
-  constexpr int kIters = 8;
 
   obs::Observer observer;
   observer.set_clock([] { return SimTime{0}; });
 
-  // Interleave A/B/C/A to split turbo/cache drift across the arms.
-  const double off_a = measure(image, pool, nullptr, kIters);
-  const double on = measure(image, pool, &observer, kIters);
-  const double flight = measure_flight(image, pool, &observer, kIters);
-  const double off_b = measure(image, pool, nullptr, kIters);
-  const double off = std::min(off_a, off_b);
+  constexpr int kRounds = 96;  // a multiple of 3: every arm holds every slot
+  CommitArm disabled(image, pool, nullptr);
+  CommitArm enabled(image, pool, &observer);
+  FlightArm flight_arm(image, pool, &observer);
+  const std::array<std::function<void()>, 3> arms = {
+      [&] { disabled.commit(); }, [&] { enabled.commit(); }, [&] { flight_arm.commit(); }};
+  std::array<std::vector<double>, 3> secs;
+  for (const auto& commit : arms) commit();  // warmup
+  for (int round = 0; round < kRounds; ++round) {
+    for (std::size_t slot = 0; slot < arms.size(); ++slot) {
+      const std::size_t arm = (static_cast<std::size_t>(round) + slot) % arms.size();
+      const auto start = std::chrono::steady_clock::now();
+      arms[arm]();
+      const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
+      secs[arm].push_back(elapsed.count());
+    }
+  }
+  const double off = median(secs[0]);
+  const double on = median(secs[1]);
+  const double flight = median(secs[2]);
   const double overhead_pct = (on / off - 1.0) * 100.0;
   const double flight_overhead_pct = (flight / off - 1.0) * 100.0;
 
   // Count the events one observed commit records.
   {
-    ReplicaSet set(3);
-    storage::ReplicatedOptions options;
-    options.pool = &pool;
-    options.observer = &observer;
-    storage::ReplicatedStore store(set.replicas, options);
+    CommitArm counted(image, pool, &observer);
     observer.reset();
-    const storage::StoreReceipt receipt = store.store_verbose(image, nullptr);
+    const storage::StoreReceipt receipt = counted.store.store_verbose(image, nullptr);
     if (!receipt.ok()) return 1;
-    store.erase(receipt.id);
+    counted.store.erase(receipt.id);
   }
   const std::size_t events_per_commit = observer.trace().events().size();
 

@@ -1,6 +1,7 @@
 #include "storage/chain.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <map>
 
 namespace ckpt::storage {
@@ -156,7 +157,9 @@ void apply_delta(CheckpointImage& base, const CheckpointImage& delta) {
          p < segment.vma.first_page + segment.vma.page_count; ++p) {
       auto it = merged.find(p);
       if (it != merged.end()) {
-        seg.pages.push_back(PageImage{p, 0, it->second});
+        // Delta VMAs never share a page number, so each buffer moves out once.
+        assert(it->second.size() == sim::kPageSize);
+        seg.pages.push_back(PageImage{p, 0, std::move(it->second)});
       }
     }
     out.push_back(std::move(seg));

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 
+#include "util/bytes.hpp"
 #include "util/crc64.hpp"
 #include "util/serialize.hpp"
 
@@ -34,57 +35,6 @@ constexpr std::uint32_t kMaxDecodeDepth = 64;
 /// deltas the base chunk key.  Payload is the rest of the blob.
 constexpr std::size_t kRawHeaderBytes = 1 + 8 + 4;
 constexpr std::size_t kDeltaHeaderBytes = kRawHeaderBytes + 8 + 4 + 4;
-
-/// A zero run shorter than this stays inside the literal record — a run
-/// record costs 8 bytes of framing, so breaking the literal earlier loses.
-constexpr std::size_t kMinZeroRun = 9;
-
-/// Zero-run-length encode: alternating (zero_run, literal_len, literal
-/// bytes) records covering the buffer exactly.  Deterministic function of
-/// the input bytes.
-std::vector<std::byte> rle_encode(std::span<const std::byte> xored) {
-  Serializer s;
-  std::size_t pos = 0;
-  const std::size_t n = xored.size();
-  while (pos < n) {
-    const std::size_t zero_start = pos;
-    while (pos < n && xored[pos] == std::byte{0}) ++pos;
-    const std::size_t zero_run = pos - zero_start;
-    const std::size_t lit_start = pos;
-    while (pos < n) {
-      if (xored[pos] != std::byte{0}) {
-        ++pos;
-        continue;
-      }
-      std::size_t z = pos;
-      while (z < n && xored[z] == std::byte{0}) ++z;
-      if (z - pos >= kMinZeroRun || z == n) break;  // long run: start a record
-      pos = z;                                      // short run: keep literal
-    }
-    s.put<std::uint32_t>(static_cast<std::uint32_t>(zero_run));
-    s.put<std::uint32_t>(static_cast<std::uint32_t>(pos - lit_start));
-    s.put_raw(xored.subspan(lit_start, pos - lit_start));
-  }
-  return std::move(s).take();
-}
-
-/// Inverse of rle_encode; throws SerializeError on any malformed framing.
-std::vector<std::byte> rle_decode(Deserializer& d, std::uint32_t raw_size) {
-  std::vector<std::byte> out;
-  out.reserve(raw_size);
-  while (out.size() < raw_size) {
-    const auto zero_run = d.get<std::uint32_t>();
-    const auto literal = d.get<std::uint32_t>();
-    if (zero_run == 0 && literal == 0) throw SerializeError("rle: empty record");
-    if (out.size() + zero_run + static_cast<std::uint64_t>(literal) > raw_size) {
-      throw SerializeError("rle: record overruns raw size");
-    }
-    out.resize(out.size() + zero_run, std::byte{0});
-    const auto lit = d.get_raw(literal);
-    out.insert(out.end(), lit.begin(), lit.end());
-  }
-  return out;
-}
 
 void put_key(Serializer& s, const ChunkKey& key) {
   s.put(key.crc);
@@ -122,8 +72,10 @@ struct RefRecord {
 
 /// Memoizing chunk resolver for ChunkTable::decode: fetches each unique
 /// chunk once, validates blob CRC, header identity and raw-content CRC, and
-/// reconstructs delta chunks recursively.  All failures throw
-/// SerializeError; decode() converts that to nullopt.
+/// reconstructs delta chunks recursively.  A delta is rebuilt in one pass
+/// over a copy of its base's content: zero runs are skipped and literals
+/// XORed in place (util::rle_apply), then the result must match the key's CRC.
+/// All failures throw SerializeError; decode() converts that to nullopt.
 class ChunkResolver {
  public:
   ChunkResolver(const std::map<ChunkKey, RefRecord>& refs,
@@ -166,8 +118,8 @@ class ChunkResolver {
     const ChunkKey base = get_key(d);
     const std::vector<std::byte>& base_raw = resolve(base, depth + 1);
     if (base_raw.size() != key.size) throw SerializeError("chunk: base size mismatch");
-    std::vector<std::byte> raw = rle_decode(d, key.size);
-    for (std::size_t i = 0; i < raw.size(); ++i) raw[i] ^= base_raw[i];
+    std::vector<std::byte> raw = base_raw;
+    util::rle_apply(d, raw);
     if (util::crc64(raw) != key.crc) throw SerializeError("chunk: content CRC mismatch");
     return cache_.emplace(key, std::move(raw)).first->second;
   }
@@ -212,7 +164,7 @@ ChunkTable::EncodedImage ChunkTable::encode(const CheckpointImage& image) {
       ChunkKey key{crc, size, 0};
       bool reused = false;
       for (const ChunkKey& candidate : bucket.keys) {
-        if (chunks_.at(candidate).raw == page.data) {
+        if (util::bytes_equal(chunks_.at(candidate).raw, page.data)) {
           key = candidate;
           reused = true;
           break;
@@ -236,11 +188,9 @@ ChunkTable::EncodedImage ChunkTable::encode(const CheckpointImage& image) {
           if (base_it != chunks_.end() && !base_it->second.pending &&
               base_it->second.raw.size() == page.data.size() &&
               base_it->second.depth < kMaxDeltaDepth) {
-            std::vector<std::byte> xored(page.data.size());
-            for (std::size_t i = 0; i < xored.size(); ++i) {
-              xored[i] = page.data[i] ^ base_it->second.raw[i];
-            }
-            std::vector<std::byte> payload = rle_encode(xored);
+            std::vector<std::byte> xored = page.data;
+            util::xor_bytes(xored, base_it->second.raw);
+            std::vector<std::byte> payload = util::rle_encode(xored);
             if (kDeltaHeaderBytes + payload.size() < kRawHeaderBytes + page.data.size()) {
               chunk.base = prev->second;
               chunk.depth = base_it->second.depth + 1;

@@ -7,6 +7,7 @@
 #include <array>
 #include <bit>
 #include <bitset>
+#include <cstdio>
 #include <optional>
 #include <random>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "storage/image.hpp"
 #include "storage/replicated.hpp"
 #include "util/crc64.hpp"
+#include "util/rng.hpp"
 #include "util/serialize.hpp"
 #include "util/threadpool.hpp"
 
@@ -232,6 +234,67 @@ TEST_F(DedupTest, DeltaChainDepthIsBounded) {
     ASSERT_TRUE(loaded.has_value()) << "version " << v;
     EXPECT_EQ(loaded->segments[0].pages[0].data, versions[v]) << "version " << v;
   }
+}
+
+TEST_F(DedupTest, DeltaChunkBytesArePinned) {
+  // A seeded chain of sparse edits, so XOR+RLE delta chunks reach the media:
+  // random unaligned edits, the first and last byte, two edits around a zero
+  // gap of 8, 9 or 10 bytes (either side of the run-record threshold), a
+  // 100-byte page, and a dense burst every fourth round that stores its page
+  // raw.  StorageCoreGolden's whole-page fills never write a delta, so this
+  // literal is what pins delta blob bytes across rewrites of the encoder.
+  util::Rng rng(0xDE17A'2026ULL);
+  ReplicatedStore store = make_store();
+  std::vector<std::vector<std::byte>> pages;
+  for (const std::size_t size : {sim::kPageSize, sim::kPageSize, sim::kPageSize,
+                                 sim::kPageSize, std::size_t{100}}) {
+    std::vector<std::byte> data(size);
+    for (std::byte& b : data) b = static_cast<std::byte>(rng.next_u64());
+    pages.push_back(std::move(data));
+  }
+  const auto flip = [&](std::vector<std::byte>& page, std::size_t at) {
+    page[at] ^= static_cast<std::byte>(1 + rng.next_below(255));
+  };
+
+  std::vector<std::pair<ImageId, std::vector<std::byte>>> expected;
+  for (std::uint64_t round = 0; round < 12; ++round) {
+    if (round > 0) {
+      for (std::uint64_t e = rng.next_below(6); e <= 6; ++e) {
+        flip(pages[0], rng.next_below(pages[0].size()));
+      }
+      flip(pages[1], 0);
+      flip(pages[1], pages[1].size() - 1);
+      const std::size_t gap = 8 + round % 3;
+      const std::size_t at = rng.next_below(pages[2].size() - gap - 1);
+      flip(pages[2], at);
+      flip(pages[2], at + gap + 1);
+      if (round % 4 == 0) {
+        for (std::size_t i = 0; i < 3000; ++i) flip(pages[3], i);
+      }
+      flip(pages[4], rng.next_below(pages[4].size()));
+    }
+    const CheckpointImage image = make_image(round + 1, pages);
+    const ImageId id = store.store(image, nullptr);
+    ASSERT_NE(id, kBadImageId) << "round " << round;
+    expected.emplace_back(id, image.serialize());
+  }
+  for (const auto& [id, flat] : expected) {
+    const auto loaded = store.load(id, nullptr);
+    ASSERT_TRUE(loaded.has_value()) << "id " << id;
+    EXPECT_EQ(loaded->serialize(), flat) << "id " << id;
+  }
+  const DedupStats& stats = store.dedup_stats();
+  EXPECT_GE(stats.delta_chunks, 30u);
+  EXPECT_GT(stats.chunks_created, stats.delta_chunks + 5);  // five raw first versions
+
+  std::uint64_t digest = 0;
+  for (const ImageId id : media_.list()) {
+    digest = util::crc64(&id, sizeof(id), digest);
+    digest = util::crc64(media_.read_blob(id, nullptr).value(), digest);
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx", static_cast<unsigned long long>(digest));
+  EXPECT_STREQ(hex, "8dd2d577edc2efca");
 }
 
 // --- Hash collisions ---------------------------------------------------------
@@ -466,6 +529,80 @@ TEST_F(DedupTest, CorruptRawChunkIsRejectedNeverServedAsWrongBytes) {
   std::vector<std::byte> payload_flip = target.blob;
   payload_flip[kHeader + 100] ^= std::byte{0x01};
   EXPECT_FALSE(decode_with(payload_flip).has_value());
+}
+
+TEST_F(DedupTest, CorruptDeltaChunkIsRejectedNeverServedAsWrongBytes) {
+  // Each hostile payload is sealed the way a forger would: the manifest's
+  // ref-table CRC and length for the delta chunk and its envelope CRC are
+  // recomputed, so every CRC gate passes and the RLE parser itself must
+  // reject the framing, or the content CRC the bytes it produced.
+  ChunkTable table;
+  std::vector<std::byte> v1(sim::kPageSize);
+  for (std::size_t i = 0; i < v1.size(); ++i) v1[i] = static_cast<std::byte>(i * 31 + 7);
+  std::vector<std::byte> v2 = v1;
+  v2[100] ^= std::byte{0xEE};
+  v2[2001] ^= std::byte{0x5A};
+  table.commit(table.encode(make_image(1, {v1})));
+  const CheckpointImage image = make_image(2, {v2});
+  const ChunkTable::EncodedImage enc = table.encode(image);
+  ASSERT_EQ(enc.fresh.size(), 1u);
+  const ChunkTable::FreshChunk& delta = enc.fresh.front();
+  ASSERT_EQ(delta.blob.front(), static_cast<std::byte>(ChunkEncoding::kXorRle));
+  constexpr std::size_t kHeader = 1 + 8 + 4 + 8 + 4 + 4;  // raw header, base key
+
+  // The delta's ref record (key, blob CRC, blob length) in the manifest body.
+  util::Serializer ref;
+  ref.put(delta.key.crc);
+  ref.put(delta.key.size);
+  ref.put(delta.key.ordinal);
+  ref.put(delta.blob_crc);
+  const auto ref_at = std::search(enc.manifest.begin(), enc.manifest.end(),
+                                  ref.bytes().begin(), ref.bytes().end());
+  ASSERT_NE(ref_at, enc.manifest.end());
+  const auto crc_at = static_cast<std::size_t>(ref_at - enc.manifest.begin()) + 16;
+
+  const auto decode_payload = [&](const std::vector<std::byte>& payload) {
+    util::Serializer s;
+    s.put_raw(std::span(delta.blob).first(kHeader));
+    s.put_raw(payload);
+    const std::vector<std::byte> blob = std::move(s).take();
+    std::vector<std::byte> manifest = enc.manifest;
+    patch_and_reseal(manifest, crc_at, util::crc64(blob));
+    patch_and_reseal(manifest, crc_at + 8, blob.size());
+    return ChunkTable::decode(manifest, [&](const ChunkKey& key, std::uint64_t)
+                                            -> std::optional<std::vector<std::byte>> {
+      if (key == delta.key) return blob;
+      if (table.contains(key)) return table.blob(key);
+      return std::nullopt;
+    });
+  };
+  // (zero_run, literal_len) then `literal` bytes of 0xA5.
+  const auto record = [](std::uint32_t zero_run, std::uint32_t literal_len,
+                         std::size_t literal) {
+    util::Serializer s;
+    s.put(zero_run);
+    s.put(literal_len);
+    s.put_raw(std::vector<std::byte>(literal, std::byte{0xA5}));
+    return std::move(s).take();
+  };
+  const std::vector<std::byte> intact(delta.blob.begin() + kHeader, delta.blob.end());
+  const auto decoded = decode_payload(intact);
+  ASSERT_TRUE(decoded.has_value()) << "the reseal itself must not reject";
+  ASSERT_EQ(decoded->serialize(), image.serialize());
+
+  const std::uint32_t page = sim::kPageSize;
+  EXPECT_FALSE(decode_payload(record(0, 0, 0)).has_value()) << "empty record";
+  EXPECT_FALSE(decode_payload(record(0, page + 1, page + 1)).has_value()) << "overrun";
+  EXPECT_FALSE(decode_payload(record(page - 8, 9, 9)).has_value()) << "zero run overrun";
+  EXPECT_FALSE(decode_payload(record(0, page, 50)).has_value()) << "truncated literal";
+  EXPECT_FALSE(decode_payload(record(0xFFFF'FFF8u, 16, 16)).has_value()) << "run near 2^32";
+  EXPECT_FALSE(decode_payload(record(0xFFFF'FFFFu, 0xFFFF'FFFFu, 0)).has_value())
+      << "run and literal at 2^32 - 1";
+  EXPECT_FALSE(decode_payload(record(0, 2048, 2048)).has_value()) << "records end short";
+  EXPECT_FALSE(decode_payload(record(page, 0, 0)).has_value()) << "delta of nothing";
+  std::vector<std::byte> flipped = intact;
+  flipped[8] ^= std::byte{0x01};  // the first literal byte
+  EXPECT_FALSE(decode_payload(flipped).has_value()) << "flipped literal byte";
 }
 
 TEST_F(DedupTest, FreshImageStoreAndLoadHashWithinPinnedBound) {

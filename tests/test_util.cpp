@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "util/bytes.hpp"
 #include "util/crc64.hpp"
 #include "util/rng.hpp"
 #include "util/serialize.hpp"
@@ -328,6 +329,196 @@ TEST(Crc64, BytesHashedSumsEveryThread) {
   }
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(crc64_bytes_hashed() - before, kCallsPerThread * kThreads * (kThreads + 1) / 2);
+}
+
+// --- Byte kernels and the zero-run codec vs byte-loop oracles ----------------
+//
+// The kernels step a word (first_nonzero four words) at a time and finish
+// the tail a byte at a time, so every length to 72 at every start
+// misalignment to 7 crosses both paths.  The bytes just outside each span
+// hold what would change the answer if a kernel read or wrote past an end.
+
+constexpr std::size_t kMaxKernelLen = 72;
+constexpr std::size_t kMisalignments = 8;
+constexpr std::size_t kKernelBuf = kMaxKernelLen + 2 * kMisalignments;
+
+std::size_t first_nonzero_bytewise(std::span<const std::byte> bytes) {
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    if (bytes[i] != std::byte{0}) return i;
+  }
+  return bytes.size();
+}
+
+std::size_t first_zero_bytewise(std::span<const std::byte> bytes) {
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    if (bytes[i] == std::byte{0}) return i;
+  }
+  return bytes.size();
+}
+
+/// The byte-at-a-time encoder util::rle_encode replaced.  Its records are
+/// the on-media delta format, so the word-wide encoder must match it byte
+/// for byte.
+std::vector<std::byte> rle_encode_bytewise(std::span<const std::byte> xored) {
+  Serializer s;
+  std::size_t pos = 0;
+  const std::size_t n = xored.size();
+  while (pos < n) {
+    const std::size_t zero_start = pos;
+    while (pos < n && xored[pos] == std::byte{0}) ++pos;
+    const std::size_t zero_run = pos - zero_start;
+    const std::size_t lit_start = pos;
+    while (pos < n) {
+      if (xored[pos] != std::byte{0}) {
+        ++pos;
+        continue;
+      }
+      std::size_t z = pos;
+      while (z < n && xored[z] == std::byte{0}) ++z;
+      if (z - pos >= kMinZeroRun || z == n) break;
+      pos = z;
+    }
+    s.put<std::uint32_t>(static_cast<std::uint32_t>(zero_run));
+    s.put<std::uint32_t>(static_cast<std::uint32_t>(pos - lit_start));
+    s.put_raw(xored.subspan(lit_start, pos - lit_start));
+  }
+  return std::move(s).take();
+}
+
+/// A byte that is never zero, biased to the values that stress the
+/// zero-byte word test (0x01 and 0x80 borrow, 0xFF).
+std::byte nonzero_byte(Rng& rng) {
+  constexpr std::array<std::uint8_t, 4> kEdges = {0x01, 0x80, 0x81, 0xFF};
+  if (rng.next_below(2) == 0) return static_cast<std::byte>(kEdges[rng.next_below(4)]);
+  return static_cast<std::byte>(1 + rng.next_below(255));
+}
+
+TEST(ByteKernels, XorMatchesTheByteLoopAtEveryLengthAndMisalignment) {
+  const std::vector<std::byte> src = patterned(kKernelBuf, 0x0A);
+  const std::vector<std::byte> base = patterned(kKernelBuf, 0x0B);
+  for (std::size_t dst_at = 0; dst_at < kMisalignments; ++dst_at) {
+    for (std::size_t src_at = 0; src_at < kMisalignments; ++src_at) {
+      for (std::size_t len = 0; len <= kMaxKernelLen; ++len) {
+        std::vector<std::byte> got = base;
+        std::vector<std::byte> want = base;
+        xor_bytes(std::span(got.data() + dst_at, len), std::span(src.data() + src_at, len));
+        for (std::size_t i = 0; i < len; ++i) want[dst_at + i] ^= src[src_at + i];
+        ASSERT_EQ(got, want) << "dst+" << dst_at << " src+" << src_at << " len " << len;
+      }
+    }
+  }
+}
+
+TEST(ByteKernels, FirstNonzeroMatchesTheByteLoopAtEveryLengthAndMisalignment) {
+  Rng rng(0xF1F0);
+  for (std::size_t at = 0; at < kMisalignments; ++at) {
+    for (std::size_t len = 0; len <= kMaxKernelLen; ++len) {
+      for (std::size_t first = 0; first <= len; ++first) {  // len: all zero
+        std::vector<std::byte> buf(kKernelBuf, std::byte{0xFF});
+        const std::span<std::byte> view(buf.data() + at, len);
+        for (std::size_t i = 0; i < len; ++i) {
+          view[i] = i < first ? std::byte{0} : static_cast<std::byte>(rng.next_u64());
+        }
+        if (first < len) view[first] = nonzero_byte(rng);
+        ASSERT_EQ(first_nonzero(view), first) << "at " << at << " len " << len;
+        ASSERT_EQ(first_nonzero(view), first_nonzero_bytewise(view));
+      }
+    }
+  }
+}
+
+TEST(ByteKernels, FirstZeroMatchesTheByteLoopAtEveryLengthAndMisalignment) {
+  Rng rng(0xF1F1);
+  for (std::size_t at = 0; at < kMisalignments; ++at) {
+    for (std::size_t len = 0; len <= kMaxKernelLen; ++len) {
+      for (std::size_t first = 0; first <= len; ++first) {  // len: none zero
+        std::vector<std::byte> buf(kKernelBuf, std::byte{0});
+        const std::span<std::byte> view(buf.data() + at, len);
+        for (std::size_t i = 0; i < len; ++i) {
+          view[i] = i < first ? nonzero_byte(rng) : static_cast<std::byte>(rng.next_u64());
+        }
+        if (first < len) view[first] = std::byte{0};
+        ASSERT_EQ(first_zero(view), first) << "at " << at << " len " << len;
+        ASSERT_EQ(first_zero(view), first_zero_bytewise(view));
+      }
+    }
+  }
+}
+
+TEST(ByteKernels, BytesEqualComparesSizeThenEveryByte) {
+  const std::vector<std::byte> a = patterned(kKernelBuf, 0xE0);
+  for (std::size_t len = 0; len <= kMaxKernelLen; ++len) {
+    const std::span<const std::byte> view(a.data() + 1, len);
+    std::vector<std::byte> b(view.begin(), view.end());
+    EXPECT_TRUE(bytes_equal(view, b)) << "len " << len;
+    EXPECT_FALSE(bytes_equal(view, std::span(a.data() + 1, len + 1))) << "len " << len;
+    for (std::size_t i = 0; i < len; ++i) {
+      b[i] ^= std::byte{0x80};
+      ASSERT_FALSE(bytes_equal(view, b)) << "len " << len << " byte " << i;
+      b[i] ^= std::byte{0x80};
+    }
+  }
+}
+
+TEST(ZeroRle, EncoderMatchesTheOracleAroundTheRunThreshold) {
+  // One zero run of exactly 8, 9 or 10 bytes (either side of kMinZeroRun)
+  // inside nonzero bytes, at every offset of every length and misalignment.
+  static_assert(kMinZeroRun == 9);
+  Rng rng(0x2E10);
+  for (const std::size_t run : {8, 9, 10}) {
+    for (std::size_t at = 0; at < kMisalignments; ++at) {
+      for (std::size_t len = run; len <= kMaxKernelLen; ++len) {
+        for (std::size_t zeros = 0; zeros + run <= len; ++zeros) {
+          std::vector<std::byte> buf(kKernelBuf, std::byte{0});
+          const std::span<std::byte> view(buf.data() + at, len);
+          for (std::size_t i = 0; i < len; ++i) {
+            view[i] = i >= zeros && i < zeros + run ? std::byte{0} : nonzero_byte(rng);
+          }
+          ASSERT_EQ(rle_encode(view), rle_encode_bytewise(view))
+              << "run " << run << " at " << at << " len " << len << " zeros@" << zeros;
+        }
+      }
+    }
+  }
+}
+
+TEST(ZeroRle, EncoderMatchesTheOracleOnTenThousandMixedDensityBuffers) {
+  // Half the buffers draw each byte nonzero with one of seven densities;
+  // half alternate zero and nonzero runs of 1-24 bytes, which puts run
+  // boundaries at every word offset.  Each encoding must also decode, over
+  // an arbitrary base, to that base XOR the buffer.
+  Rng rng(0x2E11);
+  constexpr std::array<std::uint64_t, 7> kPermille = {0, 1, 10, 100, 500, 900, 1000};
+  for (int round = 0; round < 10000; ++round) {
+    const std::size_t len = rng.next_below(4) == 0 ? rng.next_below(4097) : rng.next_below(300);
+    const std::size_t at = rng.next_below(kMisalignments);
+    std::vector<std::byte> buf(len + kMisalignments, std::byte{0});
+    const std::span<std::byte> view(buf.data() + at, len);
+    if (rng.next_below(2) == 0) {
+      const std::uint64_t permille = kPermille[rng.next_below(kPermille.size())];
+      for (std::byte& b : view) {
+        if (rng.next_below(1000) < permille) b = nonzero_byte(rng);
+      }
+    } else {
+      bool zero = rng.next_below(2) == 0;
+      for (std::size_t i = 0; i < len; zero = !zero) {
+        const std::size_t stretch = std::min(len - i, 1 + rng.next_below(24));
+        for (std::size_t j = 0; j < stretch; ++j, ++i) {
+          view[i] = zero ? std::byte{0} : nonzero_byte(rng);
+        }
+      }
+    }
+    const std::vector<std::byte> encoded = rle_encode(view);
+    ASSERT_EQ(encoded, rle_encode_bytewise(view)) << "round " << round << " len " << len;
+
+    std::vector<std::byte> out = patterned(len, static_cast<std::uint64_t>(round));
+    std::vector<std::byte> want = out;
+    for (std::size_t i = 0; i < len; ++i) want[i] ^= view[i];
+    Deserializer d(encoded);
+    rle_apply(d, out);
+    ASSERT_EQ(out, want) << "round " << round;
+    ASSERT_TRUE(d.at_end()) << "round " << round;
+  }
 }
 
 TEST(Serializer, RoundTripPrimitives) {
