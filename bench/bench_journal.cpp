@@ -10,7 +10,8 @@
 // on the simulated device model: 4 concurrent writers, identical image
 // streams, mean critical-path sim-time per commit.  The gate requires the
 // append path >= 1.5x faster at 4 writers (the measured headline is far
-// higher), plus worker-count-invariant log/home contents.
+// higher), plus log/home contents that do not depend on the home store's
+// worker count.
 //
 // Deterministic (sim + seeded rng; no host timing).  Emits BENCH_journal.json
 // (path = argv[1], default ./BENCH_journal.json) and exits non-zero when a
@@ -130,9 +131,11 @@ Measured measure_append_commit() {
   return result;
 }
 
-/// Worker invariance: the identical group-committed, migrated sequence with a
-/// 1-worker and an 8-worker migrator pool must leave byte-identical log media,
-/// home replica blobs and charge sequences.
+/// Worker invariance: the identical group-committed, migrated sequence into a
+/// replicated home store on a 1-worker and an 8-worker pool must leave
+/// byte-identical log media, home replica blobs and charge sequences.  The
+/// journal runs on the caller; each drain reaches the pool through the home
+/// store's sharded serialize and replica staging.
 bool identical_1v8() {
   struct Run {
     storage::JournalMedia media;
@@ -147,10 +150,10 @@ bool identical_1v8() {
     sim::CostModel costs{};
     storage::LocalDiskBackend local{costs};
     storage::RemoteBackend remote{costs};
-    storage::ReplicatedStore home({&local, &remote}, {});
-    storage::JournalOptions options;
-    options.pool = &pool;
-    storage::LogStructuredBackend journal(&home, options);
+    storage::ReplicatedOptions home_options;
+    home_options.pool = &pool;
+    storage::ReplicatedStore home({&local, &remote}, home_options);
+    storage::LogStructuredBackend journal(&home, {});
 
     Run run;
     const storage::ChargeFn charge = [&](SimTime t) { run.charges.push_back(t); };

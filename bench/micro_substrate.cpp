@@ -1,10 +1,25 @@
 // Micro-benchmarks of the substrate itself (google-benchmark): real
 // wall-clock cost of the simulator's hot paths, so regressions in the
 // reproduction harness are visible.
+//
+// The crc gate rides on two of them.  Whenever a run includes
+// BM_Crc64/65536 and BM_Crc64Combine/65536, micro_substrate writes
+// BENCH_crc.json (path = the first argument google-benchmark does not
+// consume, default ./BENCH_crc.json) through bench_report.hpp and exits
+// non-zero when a fail-level gate fails:
+//
+//   micro_substrate --benchmark_filter='^BM_Crc64(Combine)?/65536$'
+//
+// The gates hold the carry-less-multiply kernels to a 4 GiB/s floor and a
+// 1 us combine ceiling, and warn below 8 GiB/s or above 100 ns.  The
+// portable "sliced" kernel is not held to them.
 #include <benchmark/benchmark.h>
 
+#include <optional>
 #include <string>
+#include <vector>
 
+#include "bench_report.hpp"
 #include "core/capture.hpp"
 #include "sim/guests.hpp"
 #include "sim/kernel.hpp"
@@ -127,6 +142,55 @@ void BM_ForkCow(benchmark::State& state) {
 }
 BENCHMARK(BM_ForkCow);
 
+/// The console reporter (uncoloured), plus the two figures the crc gate
+/// reads.
+class CrcGateReporter : public benchmark::ConsoleReporter {
+ public:
+  CrcGateReporter() : ConsoleReporter(OO_Tabular) {}
+
+  void ReportRuns(const std::vector<Run>& runs) override {
+    for (const Run& run : runs) {
+      if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
+      const std::string name = run.benchmark_name();
+      if (name == "BM_Crc64/65536") {
+        gib_per_s = run.counters.at("bytes_per_second").value / (1 << 30);
+      } else if (name == "BM_Crc64Combine/65536") {
+        combine_ns = run.GetAdjustedRealTime();  // registered in nanoseconds
+      }
+    }
+    ConsoleReporter::ReportRuns(runs);
+  }
+
+  std::optional<double> gib_per_s;
+  std::optional<double> combine_ns;
+};
+
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (argc > 2 || (argc == 2 && argv[1][0] == '-')) {
+    benchmark::ReportUnrecognizedArguments(argc, argv);
+    return 2;
+  }
+  const std::string json_path = argc > 1 ? argv[1] : "BENCH_crc.json";
+  CrcGateReporter reporter;
+  benchmark::RunSpecifiedBenchmarks(&reporter);
+  benchmark::Shutdown();
+  if (!reporter.gib_per_s || !reporter.combine_ns) return 0;
+
+  const std::string kernel = util::crc64_kernel_name();
+  bench::Report report("micro_substrate");
+  report.put("crc64_kernel", kernel)
+      .put("crc64_gib_per_s", *reporter.gib_per_s, 2)
+      .put("combine_ns", *reporter.combine_ns, 1);
+  if (kernel != "sliced") {
+    report.gate("crc64_gib_per_s", *reporter.gib_per_s, bench::Op::kGe, 4.0)
+        .gate("crc64_gib_per_s", *reporter.gib_per_s, bench::Op::kGe, 8.0, bench::Level::kWarn)
+        .gate("combine_ns", *reporter.combine_ns, bench::Op::kLe, 1000)
+        .gate("combine_ns", *reporter.combine_ns, bench::Op::kLe, 100, bench::Level::kWarn);
+  }
+  return report.finish(json_path, "crc64() on the " + kernel +
+                                      " kernel hashes a 64 KiB buffer at >= 8 GiB/s and "
+                                      "crc64_combine joins a 64 KiB body in <= 100 ns");
+}

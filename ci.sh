@@ -17,23 +17,20 @@
 #    table, writes its BENCH_*.json (one envelope, bench/bench_report.hpp)
 #    and exits non-zero when a fail-level gate fails; a missed warn-level
 #    target only warns.  The bounds live in each bench's source and in the
-#    "gates" array of its JSON.
+#    "gates" array of its JSON.  micro_substrate's two 64 KiB CRC runs do
+#    the same for the crc gate (BENCH_crc.json): crc64() and
+#    crc64_combine() must be fast whenever a carry-less-multiply kernel was
+#    selected.
 # 5. sim-time drift gate: BENCH_dedup.json, BENCH_journal.json,
 #    BENCH_pause.json, BENCH_mpi.json and BENCH_fleet.json carry
 #    simulated-time figures only; after gate 4 rewrites them, any `git diff`
 #    against the committed files fails the build.
-# 6. crc gate: prints the kernel util::crc64() dispatches to, then runs
-#    micro_substrate's BM_Crc64 on its 64 KiB buffer and BM_Crc64Combine
-#    on a 64 KiB length.  When a carry-less-multiply kernel was selected,
-#    below 4 GiB/s or a combine above 1 us fails the build; below the
-#    8 GiB/s target or a combine above 100 ns only warns, since
-#    wall-clock numbers are noisy on shared runners.
-# 7. docs lint: ARCHITECTURE.md and DESIGN.md must mention every src/
+# 6. docs lint: ARCHITECTURE.md and DESIGN.md must mention every src/
 #    module, DESIGN.md section numbering must be contiguous, and every
 #    intra-repo markdown link in the top-level docs must resolve — both
 #    the path and, for links with a #fragment, a matching heading anchor
 #    in the target document.
-# 8. verdict gate: every verdict-printing bench (each claim_* binary,
+# 7. verdict gate: every verdict-printing bench (each claim_* binary,
 #    ablation_trackers and table1_feature_matrix) must exit 0, print at
 #    least one [HOLDS] verdict and no [DEVIATES] verdict — the
 #    EXPERIMENTS.md claims stay checked, not just recorded.
@@ -79,40 +76,16 @@ for bench in pipeline obs dedup journal fleet pause_time mpi; do
     exit 1
   fi
 done
+if ! ./build/bench/micro_substrate --benchmark_filter='^BM_Crc64(Combine)?/65536$'; then
+  echo "CI gate: micro_substrate failed a fail-level crc gate" >&2
+  exit 1
+fi
 
 # Sim-time drift gate: these five reports hold simulated-time figures only,
 # so a rebuilt bench must reproduce the committed file byte for byte.  Any
 # diff means a change moved a stored byte, a charge or a digest.
 git diff --exit-code -- BENCH_dedup.json BENCH_journal.json BENCH_pause.json BENCH_mpi.json \
   BENCH_fleet.json
-
-# CRC gate: the folding kernel and the combine must be fast.
-CRC_JSON="$(./build/bench/micro_substrate --benchmark_filter='^BM_Crc64/65536$' \
-  --benchmark_format=json 2>/dev/null)"
-CRC_KERNEL="$(sed -n 's/.*"crc64_kernel": "\([a-z0-9]*\)".*/\1/p' <<<"${CRC_JSON}")"
-CRC_GIBS="$(sed -n 's/.*"bytes_per_second": \([-0-9.e+]*\).*/\1/p' <<<"${CRC_JSON}" \
-  | awk '{ printf "%.2f", $1 / 1073741824 }')"
-COMBINE_NS="$(./build/bench/micro_substrate --benchmark_filter='^BM_Crc64Combine/65536$' \
-  --benchmark_format=json 2>/dev/null \
-  | sed -n 's/.*"real_time": \([-0-9.e+]*\).*/\1/p' | awk '{ printf "%.1f", $1 }')"
-echo "crc gate: crc64 kernel ${CRC_KERNEL}, ${CRC_GIBS} GiB/s on a 64 KiB buffer," \
-  "combine ${COMBINE_NS} ns"
-if [ "${CRC_KERNEL}" != "sliced" ]; then
-  if ! awk -v g="${CRC_GIBS}" 'BEGIN { exit !(g >= 4.0) }'; then
-    echo "CI gate: crc64 kernel ${CRC_KERNEL} ran at ${CRC_GIBS} GiB/s, below the 4 GiB/s floor" >&2
-    exit 1
-  fi
-  if ! awk -v g="${CRC_GIBS}" 'BEGIN { exit !(g >= 8.0) }'; then
-    echo "crc gate: warning: ${CRC_GIBS} GiB/s is below the 8 GiB/s target" >&2
-  fi
-  if ! awk -v t="${COMBINE_NS}" 'BEGIN { exit !(t != "" && t <= 1000) }'; then
-    echo "CI gate: crc64_combine took ${COMBINE_NS} ns on ${CRC_KERNEL}, above the 1 us ceiling" >&2
-    exit 1
-  fi
-  if ! awk -v t="${COMBINE_NS}" 'BEGIN { exit !(t <= 100) }'; then
-    echo "crc gate: warning: crc64_combine took ${COMBINE_NS} ns, above the 100 ns target" >&2
-  fi
-fi
 
 # Docs lint.
 for module in src/*/; do

@@ -278,7 +278,6 @@ FleetManager::FleetManager(FleetOptions options)
     jopts.segment_bytes = options_.journal_segment_bytes;
     jopts.segments = options_.journal_segments;
     jopts.migrate_on_demand = true;
-    jopts.pool = pool_;
     jopts.costs = options_.costs;
     shard.journal = std::make_unique<storage::LogStructuredBackend>(shard.store.get(), jopts);
   }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <map>
 
+#include "util/bytes.hpp"
+
 namespace ckpt::core {
 
 using storage::CheckpointImage;
@@ -357,7 +359,7 @@ bool images_equal_memory(const CheckpointImage& a, const CheckpointImage& b) {
   if (pa.size() != pb.size()) return false;
   for (const auto& [key, data] : pa) {
     auto it = pb.find(key);
-    if (it == pb.end() || *it->second != *data) return false;
+    if (it == pb.end() || !util::bytes_equal(*it->second, *data)) return false;
   }
   return true;
 }

@@ -127,7 +127,9 @@ class UserLevelRuntime {
   std::uint64_t interposed_calls_ = 0;
 };
 
-/// Byte-compare two images' memory payloads (test/bench helper).
+/// Byte-compare two images' memory payloads: the same (page, offset) keys,
+/// each with the same bytes.  Fleet restores and the torture harness verify
+/// every restart with it.
 bool images_equal_memory(const storage::CheckpointImage& a,
                          const storage::CheckpointImage& b);
 

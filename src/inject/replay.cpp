@@ -81,11 +81,6 @@ CrashReplayReport JournalCrashReplay::run() {
   CrashReplayReport report;
   util::Rng rng(options_.seed);
 
-  std::unique_ptr<util::ThreadPool> pinned;
-  if (options_.workers > 0) {
-    pinned = std::make_unique<util::ThreadPool>(options_.workers);
-  }
-
   const sim::CostModel costs{};
   storage::JournalOptions journal_options;
   journal_options.segment_bytes = options_.segment_bytes;
@@ -93,7 +88,6 @@ CrashReplayReport JournalCrashReplay::run() {
   // Migration must stay off while recording: the append ledger's logical
   // offsets are the coordinate system every crash point below is cut in.
   journal_options.migrate_on_demand = false;
-  journal_options.pool = pinned.get();
   journal_options.costs = costs;
 
   // --- 1. Record the commit sequence ---------------------------------------

@@ -29,10 +29,9 @@
 // a fresh home store and re-verifies the payloads through the migrated
 // path, so recovery-then-migrate is covered as well as recovery-then-load.
 //
-// The report is a pure function of CrashReplayOptions: the determinism
-// tests run the harness at workers=1 and workers=8 and require operator==
-// on the reports (worker pools only pre-decode inside the migrator, which
-// must never change any observable outcome).
+// The report is a pure function of CrashReplayOptions.  Every step runs on
+// the caller's thread: the journal has no worker pool, and the harness's
+// home stores are plain LocalDiskBackends.
 #pragma once
 
 #include <cstdint>
@@ -49,10 +48,6 @@ struct CrashReplayOptions {
   std::uint64_t commits = 32;
   /// Rng-chosen single-byte corruption cases (the acceptance floor is 200).
   std::uint64_t fuzz_offsets = 220;
-  /// Journal migrator worker count: 0 uses the shared CKPT_WORKERS pool, N
-  /// pins a private N-worker pool.  The report must be identical for every
-  /// value.
-  std::uint32_t workers = 0;
   /// Log geometry for the recorded sequence.  Small segments force many
   /// seal/open rollovers so segment-boundary crash points are well covered;
   /// the ring must still hold the whole sequence (migration stays off while
@@ -95,9 +90,9 @@ class JournalCrashReplay {
  public:
   explicit JournalCrashReplay(CrashReplayOptions options) : options_(options) {}
 
-  /// Record, then replay every crash point.  Deterministic in options_.seed
-  /// (and invariant in options_.workers).  Throws std::invalid_argument when
-  /// the geometry cannot hold the recovered sequence.
+  /// Record, then replay every crash point.  Deterministic in
+  /// options_.seed.  Throws std::invalid_argument when the geometry cannot
+  /// hold the recovered sequence.
   CrashReplayReport run();
 
  private:

@@ -186,7 +186,6 @@ TortureReport TortureHarness::run(const TortureTarget& target) {
     if (options_.journal) {
       storage::JournalOptions journal_options;
       journal_options.observer = observer;
-      if (options_.workers > 0) journal_options.pool = pinned_pool.get();
       journal_store = std::make_unique<storage::LogStructuredBackend>(replicated.get(),
                                                                       journal_options);
       // Engines commit by appending to the journal; the migrator drains into

@@ -10,7 +10,6 @@
 #include "obs/trace.hpp"
 #include "util/crc64.hpp"
 #include "util/serialize.hpp"
-#include "util/threadpool.hpp"
 
 namespace ckpt::storage {
 namespace {
@@ -585,29 +584,20 @@ LogStructuredBackend::MigrateReport LogStructuredBackend::migrate(const ChargeFn
   obs::TraceRecorder* trace = obs::tracer(options_.observer);
   obs::SpanGuard span(trace, "journal.migrate", "storage", obs::kStorageTrack,
                       {obs::TraceArg::num("resident", resident_images())});
-  std::vector<ImageId> ids;
-  for (const auto& [id, entry] : entries_) {
-    if (!entry.migrated) ids.push_back(id);
-  }
-  // Pre-decode on the pool: a pure function of log bytes (no charges, no
-  // observer emission from workers), joined in index order — the worker
-  // count can never reach any observable output.
-  std::vector<std::optional<CheckpointImage>> images(ids.size());
-  util::ThreadPool* pool = options_.pool != nullptr ? options_.pool : &util::ThreadPool::shared();
-  util::parallel_for(pool, ids.size(), [&](std::size_t i) {
-    images[i] = decode_resident(entries_.at(ids[i]));
-  });
   report.complete = true;
   bool published = false;
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    Entry& entry = entries_.at(ids[i]);
-    if (!images[i]) {
+  for (auto& [id, entry] : entries_) {
+    if (entry.migrated) continue;
+    // Decoding is a pure function of the log bytes: it charges nothing and
+    // emits nothing.
+    const std::optional<CheckpointImage> image = decode_resident(entry);
+    if (!image) {
       ++report.decode_failures;
       report.complete = false;
       continue;
     }
     if (charge) charge(options_.costs.disk_cost(entry.group_bytes));
-    const ImageId home_id = home_->store(*images[i], charge);
+    const ImageId home_id = home_->store(*image, charge);
     if (home_id == kBadImageId) {
       report.complete = false;  // home store refused; retry on the next drain
       break;
@@ -622,11 +612,11 @@ LogStructuredBackend::MigrateReport LogStructuredBackend::migrate(const ChargeFn
       return report;
     }
     util::Serializer body;
-    body.put<ImageId>(ids[i]);
+    body.put<ImageId>(id);
     body.put<ImageId>(home_id);
     body.put<std::uint64_t>(static_cast<std::uint64_t>(entry.pid));
     body.put<std::uint64_t>(entry.sequence);
-    const auto loc = append_record(JournalRecordType::kMigrate, ids[i], body.bytes(), charge);
+    const auto loc = append_record(JournalRecordType::kMigrate, id, body.bytes(), charge);
     if (!loc) {
       // No room (or torn) for the publish record: undo the home copy so a
       // crash cannot leave a mapping that exists nowhere in the log.
@@ -640,7 +630,7 @@ LogStructuredBackend::MigrateReport LogStructuredBackend::migrate(const ChargeFn
     entry.chunks.shrink_to_fit();
     entry.migrate_epoch = slots_[loc->slot].epoch;
     ++report.images_drained;
-    report.bytes_drained += images[i]->payload_bytes();
+    report.bytes_drained += image->payload_bytes();
     published = true;
   }
   if (published) charge_sync(charge);

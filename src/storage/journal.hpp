@@ -33,11 +33,11 @@
 // "newest fully-committed prefix" claim the JournalCrashReplay harness
 // proves at every record boundary and at fuzzed intra-record offsets.
 //
-// Determinism contract: appends, recovery and reclaim run on the caller's
-// thread; the worker pool only pre-decodes images inside migrate() (a pure
-// function of log bytes, no charges, no observer emission from workers), so
-// log contents, home-store contents and every ChargeFn sequence are
-// bit-identical for any CKPT_WORKERS.
+// Determinism contract: appends, recovery, migration and reclaim all run on
+// the caller's thread (migrate() decodes each resident image just before it
+// publishes it), so log contents and every ChargeFn sequence depend on no
+// worker count; home-store contents are as worker-invariant as the home
+// store itself.
 #pragma once
 
 #include <cstdint>
@@ -48,10 +48,6 @@
 
 #include "sim/costs.hpp"
 #include "storage/dedup.hpp"
-
-namespace ckpt::util {
-class ThreadPool;
-}
 
 namespace ckpt::obs {
 class Observer;
@@ -68,10 +64,6 @@ struct JournalOptions {
   /// When a store() does not fit in the remaining free segments, drain the
   /// migrator inline to reclaim space before failing the store.
   bool migrate_on_demand = true;
-  /// Worker pool for the migrator's parallel image decode (null = the
-  /// process-wide CKPT_WORKERS pool).  Decode is pure, so the pool never
-  /// affects any observable output.
-  util::ThreadPool* pool = nullptr;
   /// Observability sink (null = disabled): journal.* spans and counters.
   obs::Observer* observer = nullptr;
   /// Device cost model for append/sync/scan charges.
@@ -195,7 +187,9 @@ class LogStructuredBackend final : public StorageBackend, public ChunkReclaimabl
   /// Drain resident commits (oldest first) into the home store, publish each
   /// with a kMigrate record, then reclaim every sealed segment no resident
   /// entry touches.  Safe to call at any time; stops early (complete=false)
-  /// when the home store rejects a publish so the next run can retry.
+  /// when the home store rejects a publish so the next run can retry.  An
+  /// entry whose log bytes no longer decode is skipped and stays resident,
+  /// counted in decode_failures by every run.
   MigrateReport migrate(const ChargeFn& charge);
 
   // --- Crash / recovery -----------------------------------------------------
@@ -280,7 +274,7 @@ class LogStructuredBackend final : public StorageBackend, public ChunkReclaimabl
 
   [[nodiscard]] std::uint64_t envelope_bytes(std::uint64_t body) const;
   /// Decode a resident entry straight from the log bytes.  Pure function of
-  /// the media (thread-safe), so the migrator may fan it across the pool.
+  /// the media: it charges nothing and emits nothing.
   [[nodiscard]] std::optional<CheckpointImage> decode_resident(const Entry& entry) const;
   /// Append one record; returns its location or nullopt on log-full / torn
   /// crash.  Handles seal + segment-open rollover internally.

@@ -1,7 +1,6 @@
 #include "storage/replicated.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_set>
@@ -351,15 +350,16 @@ StoreReceipt ReplicatedStore::store_streamed(const StreamSource& source,
                   obs::TraceArg::num("chunks", chunk_count)});
   }
 
-  // Every caller-side charge of lane r goes through lane_charge(r): it
-  // feeds the per-lane total the replica-stream span is rendered from.
+  // Every charge of lane r goes through lane_charge[r]: it feeds the
+  // per-lane total the replica-stream span is rendered from.
   std::vector<SimTime> lane_spent(replica_count, 0);
-  const auto lane_charge = [&lane_spent, &charge](std::size_t r) -> ChargeFn {
-    return [&lane_spent, &charge, r](SimTime t) {
+  std::vector<ChargeFn> lane_charge;
+  for (std::size_t r = 0; r < replica_count; ++r) {
+    lane_charge.emplace_back([&lane_spent, &charge, r](SimTime t) {
       lane_spent[r] += t;
       if (charge) charge(t);
-    };
-  };
+    });
+  }
   const auto append_error = [this](std::size_t r) {
     return replicas_[r]->reachable() ? StoreErrorKind::kRejected
                                      : StoreErrorKind::kUnreachable;
@@ -372,7 +372,7 @@ StoreReceipt ReplicatedStore::store_streamed(const StreamSource& source,
   std::vector<BlobStoreBackend::StageId> open(replica_count, BlobStoreBackend::kBadStageId);
   std::vector<StoreErrorKind> lane_error(replica_count, StoreErrorKind::kNone);
   for (std::size_t r = 0; r < replica_count; ++r) {
-    const ChargeFn opened = lane_charge(r);
+    const ChargeFn& opened = lane_charge[r];
     open[r] = replicas_[r]->begin_staged(opened);
     if (open[r] == BlobStoreBackend::kBadStageId) {
       lane_error[r] = StoreErrorKind::kUnreachable;
@@ -381,79 +381,33 @@ StoreReceipt ReplicatedStore::store_streamed(const StreamSource& source,
     }
   }
 
-  // Phase 1: produce chunks (on pool workers) and append each to every
-  // still-healthy stage.  Replica lanes are ticket-gated — chunk i appends
-  // to replica r only after chunk i-1 did — so each stage receives chunks in
-  // order while different chunks encode and different replicas append
-  // concurrently.  The pool dispatches indices in ascending order, so the
-  // holder of ticket i-1 is always already running and the spin below
-  // cannot deadlock.  Every charge lands in a per-(chunk, replica) ledger
-  // replayed after the join.
-  struct Lane {
-    std::vector<SimTime> charges;
-    StoreErrorKind error = StoreErrorKind::kNone;  ///< set when the lane died here
-  };
-  struct ChunkOutcome {
-    std::uint64_t crc = 0;
-    std::uint64_t bytes = 0;
-    SimTime capture_ns = 0;
-    std::vector<Lane> lanes;
-  };
-  std::vector<ChunkOutcome> outcomes(chunk_count);
-  for (ChunkOutcome& out : outcomes) out.lanes.resize(replica_count);
-  std::vector<std::atomic<std::size_t>> cursor(replica_count);
-  util::parallel_for(distinct_replicas_ ? pool_ : nullptr, chunk_count, [&](std::size_t i) {
-    ChunkOutcome& out = outcomes[i];
-    const StreamChunk chunk = source.produce(i);
-    out.crc = util::crc64(chunk.bytes);
-    out.bytes = chunk.bytes.size();
-    out.capture_ns = chunk.capture_ns;
-    for (std::size_t r = 0; r < replica_count; ++r) {
-      while (cursor[r].load(std::memory_order_acquire) != i) {
-      }
-      if (lane_error[r] == StoreErrorKind::kNone) {
-        Lane& lane = out.lanes[r];
-        const ChargeFn ledger = [&lane](SimTime t) { lane.charges.push_back(t); };
-        if (!replicas_[r]->append_staged(open[r], chunk.bytes, ledger)) {
-          lane.error = append_error(r);
-          lane_error[r] = lane.error;
-        }
-      }
-      cursor[r].store(i + 1, std::memory_order_release);
-    }
-  });
-
-  // Replay the ledgers in chunk-then-replica order — the charge sequence of
-  // a fully serial run, whatever the pool width.
+  // Phase 1: produce each chunk, charge its capture, and append it to every
+  // still-healthy stage, in chunk-then-replica order.  The body CRC folds
+  // each chunk's CRC in with crc64_combine, so the full blob is only
+  // materialized if some replica needs the whole-image fallback.
+  std::uint64_t body_len = source.prelude.size();
+  std::uint64_t body_crc = util::crc64(source.prelude);
   for (std::size_t i = 0; i < chunk_count; ++i) {
-    const ChunkOutcome& out = outcomes[i];
-    if (charge && out.capture_ns > 0) charge(out.capture_ns);
+    const StreamChunk chunk = source.produce(i);
+    body_crc = util::crc64_combine(body_crc, util::crc64(chunk.bytes), chunk.bytes.size());
+    body_len += chunk.bytes.size();
+    if (charge && chunk.capture_ns > 0) charge(chunk.capture_ns);
     for (std::size_t r = 0; r < replica_count; ++r) {
-      for (SimTime t : out.lanes[r].charges) {
-        lane_spent[r] += t;
-        if (charge) charge(t);
+      if (lane_error[r] != StoreErrorKind::kNone) continue;
+      if (!replicas_[r]->append_staged(open[r], chunk.bytes, lane_charge[r])) {
+        lane_error[r] = append_error(r);
+        receipt.last_error = lane_error[r];
       }
-      if (out.lanes[r].error != StoreErrorKind::kNone) receipt.last_error = out.lanes[r].error;
     }
   }
 
-  // The trailer closes every still-healthy stage's body, again in replica
-  // order on the caller.
+  // The trailer closes every still-healthy stage's body.
   for (std::size_t r = 0; r < replica_count; ++r) {
     if (lane_error[r] != StoreErrorKind::kNone) continue;
-    if (!replicas_[r]->append_staged(open[r], source.trailer, lane_charge(r))) {
+    if (!replicas_[r]->append_staged(open[r], source.trailer, lane_charge[r])) {
       lane_error[r] = append_error(r);
       receipt.last_error = lane_error[r];
     }
-  }
-
-  // Body CRC from the per-chunk CRCs via crc64_combine — the full blob is
-  // only materialized if some replica needs the whole-image fallback.
-  std::uint64_t body_len = source.prelude.size();
-  std::uint64_t body_crc = util::crc64(source.prelude);
-  for (const ChunkOutcome& out : outcomes) {
-    body_crc = util::crc64_combine(body_crc, out.crc, out.bytes);
-    body_len += out.bytes;
   }
   body_crc = util::crc64(source.trailer, body_crc);
   body_len += source.trailer.size();
@@ -493,7 +447,7 @@ StoreReceipt ReplicatedStore::store_streamed(const StreamSource& source,
   // abandons its stage and falls back to the classic whole-blob stage.
   std::vector<ReplicaStage> stages(replica_count);
   for (std::size_t r = 0; r < replica_count; ++r) {
-    const ChargeFn charge_r = lane_charge(r);
+    const ChargeFn& charge_r = lane_charge[r];
     ImageId id = kBadImageId;
     if (lane_error[r] == StoreErrorKind::kNone) {
       id = replicas_[r]->finish_staged(open[r], header, charge_r);
@@ -678,12 +632,11 @@ ScrubReport ReplicatedStore::scrub(const ChargeFn& charge) {
                       {obs::TraceArg::num("replicas", replicas_.size())});
   enum class CopyState : std::uint8_t { kOk, kCorrupt, kMissing, kUnreachable };
 
-  // Phase 1 — audit reads, sequential in (entry, replica) order so the
-  // charge sequence matches the old one-entry-at-a-time audit exactly.
-  // Copies are held so phase 3 can repair from the healthy one without
-  // re-reading it, and so phase 2 can verify them off the hot thread.
+  // Phase 1 — audit reads, in (entry, replica) order, each copy CRC-verified
+  // as it is read.  Copies are held so phase 2 can repair from the healthy
+  // one without re-reading it.
   // The audit unit is a (crc, placements) pair — manifest entries and, in
-  // dedup mode, every live content chunk go through the same three phases:
+  // dedup mode, every live content chunk go through the same two phases:
   // a chunk torn, corrupted or absent on one replica is repaired from a
   // healthy peer copy exactly like a whole image.  (Never from the host
   // ChunkTable cache: scrub certifies what the *media* holds, and repairing
@@ -715,26 +668,14 @@ ScrubReport ReplicatedStore::scrub(const ChargeFn& charge) {
       if (!replicas_[r]->reachable()) continue;
       const auto placement = audit.placements->find(r);
       if (placement == audit.placements->end()) continue;
-      audit.copies[r].blob = replicas_[r]->read_blob(placement->second, charge);
+      Copy& copy = audit.copies[r];
+      copy.blob = replicas_[r]->read_blob(placement->second, charge);
+      copy.crc_ok = copy.blob.has_value() && util::crc64(*copy.blob) == audit.crc;
       ++report.copies_checked;
     }
   }
 
-  // Phase 2 — CRC-verify every audited copy across all manifest entries in
-  // one flat fan-out (pure computation: no charges, no backend access).
-  std::vector<std::pair<std::size_t, std::size_t>> flat;  // (audit, replica)
-  for (std::size_t a = 0; a < audits.size(); ++a) {
-    for (std::size_t r = 0; r < replicas_.size(); ++r) {
-      if (audits[a].copies[r].blob.has_value()) flat.emplace_back(a, r);
-    }
-  }
-  util::parallel_for(pool_, flat.size(), [&](std::size_t i) {
-    const auto [a, r] = flat[i];
-    Copy& copy = audits[a].copies[r];
-    copy.crc_ok = util::crc64(*copy.blob) == audits[a].crc;
-  });
-
-  // Phase 3 — classify and repair, sequential in audit order (manifest
+  // Phase 2 — classify and repair, sequential in audit order (manifest
   // entries, then live chunks).  The healthy source copy is the one already
   // read during the audit: loaded once per blob and reused for every repair
   // of that blob.

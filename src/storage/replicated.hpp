@@ -38,17 +38,17 @@
 // streamed path's whole-blob fallback, and one publish routine applies the
 // write quorum: publish the manifest entry, or roll every stage back.
 //
-// The commit path is a *parallel pipeline* (paper §4.1's concurrent
-// kernel-thread direction, mapped onto host threads): the image is
-// serialized in per-segment shards on a worker pool, the N replica
-// stage+verify fan-out runs concurrently (one task per replica), and scrub
-// CRC-verifies all audited copies across all manifest entries in one flat
-// fan-out.  Determinism is preserved throughout — ordered joins, per-replica
-// charge ledgers replayed in replica order, per-replica retry salt — so a
-// 1-worker and an 8-worker run produce bit-identical replica contents,
-// manifests and simulated-clock charges.  A 1-worker pool runs every
-// fan-out inline: it is the serial reference the identity tests compare
-// against.
+// store() is a *parallel pipeline* (paper §4.1's concurrent kernel-thread
+// direction, mapped onto host threads): the image is serialized in
+// per-segment shards on a worker pool, and the N replica stage+verify
+// fan-out runs concurrently (one task per replica).  Those are the two
+// fan-outs bench_pipeline shows paying off on large images.  Determinism is
+// preserved — ordered joins, per-replica charge ledgers replayed in replica
+// order, per-replica retry salt — so a 1-worker and an 8-worker run produce
+// bit-identical replica contents, manifests and simulated-clock charges.  A
+// 1-worker pool runs both fan-outs inline: it is the serial reference the
+// identity tests compare against.  store_streamed(), load and scrub() run
+// on the caller's thread.
 #pragma once
 
 #include <cstdint>
@@ -94,8 +94,8 @@ struct ReplicatedOptions {
   std::uint32_t write_quorum = 1;
   /// Retry schedule for per-replica staging and for load sweeps.
   RetryPolicy retry;
-  /// Worker pool for the commit pipeline: sharded serialize, concurrent
-  /// replica staging, and scrub CRC verification.  nullptr selects the
+  /// Worker pool for store()'s commit pipeline: sharded serialize and
+  /// concurrent replica staging.  nullptr selects the
   /// process-wide ThreadPool::shared() (sized by CKPT_WORKERS).  Parallelism
   /// is host wall-clock only — per-replica sim-time charges are ledgered on
   /// the workers and replayed through the caller's ChargeFn in replica
@@ -188,9 +188,8 @@ class ReplicatedStore final : public StorageBackend, public ChunkReclaimable {
     SimTime capture_ns = 0;
   };
   /// A streamed image: fixed prelude/trailer plus `chunk_count` body chunks
-  /// produced on demand.  `produce` must be thread-safe and pure — it runs
-  /// on pool workers (and may run again on the caller when a faulted
-  /// replica falls back to a whole-blob retry), and must return
+  /// produced on demand.  `produce` must be pure — it runs again when a
+  /// faulted replica falls back to a whole-blob retry, and must return
   /// byte-identical chunks every call.  prelude ++ chunks ++ trailer must
   /// equal the serialize() body of the image being stored, so a streamed
   /// blob is bit-identical to a classic one.
@@ -204,14 +203,12 @@ class ReplicatedStore final : public StorageBackend, public ChunkReclaimable {
   /// Shares the stage routine (for fallbacks) and the quorum/rollback/
   /// publish tail with store_verbose().
   /// Chunks are appended to a per-replica append stage *as they are
-  /// produced* — capture, encode and replica fan-out overlap instead of
-  /// running phase-sequential — and the manifest entry still commits last,
-  /// so a crash or fault mid-stream leaves the previous image authoritative.
-  /// Chunk production fans out on the pool with per-replica ticket gating
-  /// (chunk i appends to a replica only after chunk i-1 did); all sim-time
-  /// charges are ledgered per (chunk, replica) and replayed in chunk-then-
-  /// replica order, so contents, charges, metrics and traces are
-  /// byte-identical for any worker count.  A replica whose stage dies
+  /// produced* — capture, encode and replica appends interleave chunk by
+  /// chunk, and the whole blob is never assembled — and the manifest entry
+  /// still commits last, so a crash or fault mid-stream leaves the previous
+  /// image authoritative.  Runs on the caller: each chunk is produced, its
+  /// capture charged, and appended to every healthy replica in turn, so
+  /// charges land in chunk-then-replica order.  A replica whose stage dies
   /// mid-stream falls back to the classic whole-blob stage+verify under the
   /// retry policy: a mid-stream fault costs that replica the streaming win,
   /// not the commit.

@@ -308,5 +308,43 @@ TEST_F(CaptureTest, MultithreadedRegistersAllCaptured) {
   EXPECT_EQ(kernel_.process(result.pid).threads.size(), 3u);
 }
 
+/// An image of `pages` full pages, each page's bytes derived from its index.
+storage::CheckpointImage paged_image(std::size_t pages) {
+  storage::CheckpointImage image;
+  storage::MemorySegmentImage seg;
+  seg.vma = sim::Vma{sim::page_of(0x40000), pages, sim::kProtRW, sim::VmaKind::kData, "data"};
+  for (std::size_t p = 0; p < pages; ++p) {
+    storage::PageImage page;
+    page.page = seg.vma.first_page + p;
+    page.data.resize(sim::kPageSize);
+    for (std::size_t b = 0; b < page.data.size(); ++b) {
+      page.data[b] = static_cast<std::byte>((p * 7 + b) & 0xFF);
+    }
+    seg.pages.push_back(std::move(page));
+  }
+  image.segments.push_back(std::move(seg));
+  return image;
+}
+
+TEST(ImagesEqualMemory, ComparesEveryPageByKeyAndEveryByte) {
+  const storage::CheckpointImage a = paged_image(3);
+  EXPECT_TRUE(images_equal_memory(a, paged_image(3)));
+
+  // One byte apart, in the last byte of one page.
+  storage::CheckpointImage last_byte = paged_image(3);
+  last_byte.segments[0].pages[1].data[sim::kPageSize - 1] ^= std::byte{0x01};
+  EXPECT_FALSE(images_equal_memory(a, last_byte));
+  EXPECT_FALSE(images_equal_memory(last_byte, a));
+
+  // The same bytes, recorded at another offset within the page.
+  storage::CheckpointImage moved = paged_image(3);
+  moved.segments[0].pages[2].offset = 16;
+  EXPECT_FALSE(images_equal_memory(a, moved));
+
+  // One page more on one side.
+  EXPECT_FALSE(images_equal_memory(a, paged_image(4)));
+  EXPECT_FALSE(images_equal_memory(paged_image(4), a));
+}
+
 }  // namespace
 }  // namespace ckpt::core

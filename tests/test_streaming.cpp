@@ -6,8 +6,8 @@
 //     blobs to the classic capture → serialize → store path, loadable by
 //     the ordinary restart machinery;
 //   * worker-count identity — blobs, sim-time and results are identical
-//     whether the chunk pipeline runs on one worker or eight (chunking is
-//     fixed by stream_chunk_pages, never by pool width);
+//     whether the store's pool has one worker or eight (the chunk loop
+//     runs on the caller, and chunking is fixed by stream_chunk_pages);
 //   * pause — the guest-visible pause of a fork-snapshot commit is the
 //     fork's page-table walk, an order of magnitude below stop-the-world;
 //   * no leaks — every exit path (success, mid-stream fault fallback,

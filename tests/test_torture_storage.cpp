@@ -246,9 +246,10 @@ TEST(TortureStorage, JournalReplicatedSoakHoldsTheSameInvariants) {
 }
 
 TEST(TortureStorage, JournalWorkerCountNeverChangesTheSoak) {
-  // The migrator pre-decodes resident images on the pool; the soak —
-  // including every mid-cycle drain, crash and recovery — must replay
-  // bit-identically for one worker and eight.
+  // Every migrator drain stores into the replicated home store, whose
+  // serialize and replica staging fan out on the pool; the soak — including
+  // every mid-cycle drain, crash and recovery — must replay bit-identically
+  // for one worker and eight.
   TortureOptions options = replicated_options(/*replicas=*/3);
   options.cycles = 35;
   options.journal = true;
@@ -304,9 +305,9 @@ TEST(TortureStorage, StreamingSoakHoldsTheSameInvariants) {
 }
 
 TEST(TortureStorage, StreamingWorkerCountNeverChangesTheSoak) {
-  // The streamed pipeline overlaps encode and fan-out on the pool; the
-  // per-(chunk, replica) charge ledgers must keep the soak — including the
-  // mid-stream fault fallbacks — bit-identical for one worker and eight.
+  // The streamed commit runs on the caller, so the store's pool width must
+  // never reach the soak: including the mid-stream fault fallbacks, it
+  // replays bit-identically for one worker and eight.
   TortureOptions options = replicated_options(/*replicas=*/3);
   options.cycles = 35;
   options.streaming = true;
