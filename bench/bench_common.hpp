@@ -5,8 +5,10 @@
 // prints series in a stable text format quoted by EXPERIMENTS.md.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "sim/guests.hpp"
 #include "util/table.hpp"
@@ -24,6 +26,13 @@ inline void print_header(const std::string& experiment, const std::string& claim
 inline void print_table(const util::TextTable& table) {
   std::fputs(table.render().c_str(), stdout);
   std::printf("\n");
+}
+
+/// Median of `values` (the mean of the middle two for an even count).
+inline double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid] : (values[mid - 1] + values[mid]) / 2;
 }
 
 inline void print_verdict(bool holds, const std::string& statement) {

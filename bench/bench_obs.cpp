@@ -8,13 +8,13 @@
 // enabled — is only honest if the enabled paths stay within noise, so the
 // gate requires < 2% throughput overhead for BOTH arms on the
 // large-image 3-way 4-worker commit loop.  The three arms are built once and
-// commit in rotating order, one commit each per round, and each arm's
-// figure is the median of its per-commit times, so a slow stretch of a
-// shared host lands on every arm instead of on whichever ran through it.
+// commit in rotating order, one commit each per round.  Each overhead is
+// the median over rounds of the paired ratio t_arm[r] / t_disabled[r] - 1,
+// so a slow stretch of a shared host cancels inside the round it hits
+// instead of shifting one arm's median.
 //
 // Host wall-clock only.  Emits BENCH_obs.json (path = argv[1], default
 // ./BENCH_obs.json) and exits non-zero when either arm exceeds 2%.
-#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdio>
@@ -167,12 +167,6 @@ struct FlightArm {
   }
 };
 
-double median(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  const std::size_t mid = values.size() / 2;
-  return values.size() % 2 == 1 ? values[mid] : (values[mid - 1] + values[mid]) / 2;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -206,11 +200,18 @@ int main(int argc, char** argv) {
       secs[arm].push_back(elapsed.count());
     }
   }
-  const double off = median(secs[0]);
-  const double on = median(secs[1]);
-  const double flight = median(secs[2]);
-  const double overhead_pct = (on / off - 1.0) * 100.0;
-  const double flight_overhead_pct = (flight / off - 1.0) * 100.0;
+  const double off = bench::median(secs[0]);
+  const double on = bench::median(secs[1]);
+  const double flight = bench::median(secs[2]);
+  const auto paired_overhead_pct = [&](std::size_t arm) {
+    std::vector<double> ratios;
+    for (std::size_t round = 0; round < secs[0].size(); ++round) {
+      ratios.push_back(secs[arm][round] / secs[0][round]);
+    }
+    return (bench::median(ratios) - 1.0) * 100.0;
+  };
+  const double overhead_pct = paired_overhead_pct(1);
+  const double flight_overhead_pct = paired_overhead_pct(2);
 
   // Count the events one observed commit records.
   {

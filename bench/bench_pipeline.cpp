@@ -3,7 +3,11 @@
 // staging fanned out one task per replica) swept across worker count,
 // replication width and image size.  The baseline is the same pipeline on
 // a 1-worker pool, which runs both fan-outs inline, so the speedup gate
-// measures exactly what the pool buys.
+// measures exactly what the pool buys.  Every configuration of one image
+// size is built up front and commits once per round, in an order rotated
+// by one slot per round; a row is the median over rounds, and the speedup
+// is the median of the per-round paired ratio, so a slow stretch of a
+// shared host lands on every configuration instead of on one row.
 //
 // Host wall-clock only — simulated-time charges are not involved (and the
 // determinism check asserts the pipeline never changes observable state).
@@ -30,10 +34,11 @@ struct ImageSpec {
   const char* name;
   std::size_t segments;
   std::uint64_t pages_per_segment;
+  int rounds;  ///< a multiple of the 12 configurations: each holds every slot
 };
 
-constexpr ImageSpec kSmall{"small", 8, 16};   // 8 x 16 x 4 KiB = 512 KiB of pages
-constexpr ImageSpec kLarge{"large", 32, 64};  // 32 x 64 x 4 KiB = 8 MiB of pages
+constexpr ImageSpec kSmall{"small", 8, 16, 24};  // 8 x 16 x 4 KiB = 512 KiB of pages
+constexpr ImageSpec kLarge{"large", 32, 64, 5};  // 32 x 64 x 4 KiB = 8 MiB of pages
 
 storage::CheckpointImage make_image(const ImageSpec& spec, std::uint64_t seed) {
   util::Rng rng(seed);
@@ -79,43 +84,52 @@ struct ReplicaSet {
   }
 };
 
-template <typename Fn>
-double seconds_per_commit(int iters, Fn&& commit) {
-  commit();  // warmup (touches pages, fills buffer pools)
-  const auto start = std::chrono::steady_clock::now();
-  for (int i = 0; i < iters; ++i) commit();
-  const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
-  return elapsed.count() / iters;
-}
+/// One (image, replicas, workers) configuration: its own replica set and
+/// store, committing the shared image and erasing it again.
+struct Config {
+  const storage::CheckpointImage& image;
+  std::uint32_t width;
+  unsigned workers;
+  ReplicaSet set;
+  storage::ReplicatedStore store;
+  std::vector<double> secs;  ///< one commit per round
 
-struct Result {
-  unsigned workers = 0;
-  std::uint32_t replicas = 0;
-  std::string image;
-  std::size_t blob_bytes = 0;
-  double commits_per_sec = 0;
-  double mb_per_sec = 0;  // serialized bytes landed across all replicas
-};
+  Config(const storage::CheckpointImage& image_in, std::uint32_t width_in,
+         unsigned workers_in, util::ThreadPool& pool)
+      : image(image_in), width(width_in), workers(workers_in), set(width_in),
+        store(set.replicas, store_options(pool)) {}
 
-Result measure_pipeline(const ImageSpec& spec, std::uint32_t width, unsigned workers,
-                        util::ThreadPool& pool, int iters) {
-  const storage::CheckpointImage image = make_image(spec, 0xBE7C);
-  ReplicaSet set(width);
-  storage::ReplicatedOptions options;
-  options.pool = &pool;
-  storage::ReplicatedStore store(set.replicas, options);
-  const std::size_t blob_bytes = image.serialized_size();
-  const double secs = seconds_per_commit(iters, [&] {
+  static storage::ReplicatedOptions store_options(util::ThreadPool& pool) {
+    storage::ReplicatedOptions options;
+    options.pool = &pool;
+    return options;
+  }
+
+  void commit() {
     const storage::StoreReceipt receipt = store.store_verbose(image, nullptr);
     if (!receipt.ok()) {
       std::fprintf(stderr, "pipeline commit failed?!\n");
       std::exit(1);
     }
     store.erase(receipt.id);
-  });
-  Result r{workers, width, spec.name, blob_bytes, 1.0 / secs, 0};
-  r.mb_per_sec = r.commits_per_sec * static_cast<double>(blob_bytes) * width / (1 << 20);
-  return r;
+  }
+};
+
+/// A warmup commit each (touches pages, fills buffer pools), then `rounds`
+/// rounds that commit every configuration once, in an order rotated by one
+/// slot per round, so a slow stretch of a shared host lands on every
+/// configuration alike.
+void run_rounds(std::vector<std::unique_ptr<Config>>& configs, int rounds) {
+  for (auto& config : configs) config->commit();
+  for (int round = 0; round < rounds; ++round) {
+    for (std::size_t slot = 0; slot < configs.size(); ++slot) {
+      Config& config = *configs[(static_cast<std::size_t>(round) + slot) % configs.size()];
+      const auto start = std::chrono::steady_clock::now();
+      config.commit();
+      const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
+      config.secs.push_back(elapsed.count());
+    }
+  }
 }
 
 /// 1-worker vs 8-worker stores over the same images must leave bit-identical
@@ -161,38 +175,50 @@ int main(int argc, char** argv) {
   const std::vector<std::pair<unsigned, util::ThreadPool*>> pools{
       {1, &pool1}, {2, &pool2}, {4, &pool4}, {8, &pool8}};
 
-  std::vector<Result> results;
+  std::vector<bench::Fields> rows;
   util::TextTable table({"image", "replicas", "workers", "commits/s", "MiB/s landed"});
-  double large_3way_1w = 0, large_3way_4w = 0;
+  std::vector<double> large_3way_speedups;
   for (const ImageSpec* spec : {&kSmall, &kLarge}) {
-    const int iters = spec == &kSmall ? 10 : 3;
+    const storage::CheckpointImage image = make_image(*spec, 0xBE7C);
+    const std::size_t blob_bytes = image.serialized_size();
+    std::vector<std::unique_ptr<Config>> configs;
+    const Config* three_way_1w = nullptr;
+    const Config* three_way_4w = nullptr;
     for (std::uint32_t width : {1u, 2u, 3u}) {
       for (const auto& [workers, pool] : pools) {
-        const Result r = measure_pipeline(*spec, width, workers, *pool, iters);
-        results.push_back(r);
-        table.add_row({r.image, std::to_string(width), std::to_string(workers),
-                       util::format_double(r.commits_per_sec, 2),
-                       util::format_double(r.mb_per_sec, 1)});
-        if (spec == &kLarge && width == 3 && workers == 1) large_3way_1w = r.commits_per_sec;
-        if (spec == &kLarge && width == 3 && workers == 4) large_3way_4w = r.commits_per_sec;
+        configs.push_back(std::make_unique<Config>(image, width, workers, *pool));
+        if (width == 3 && workers == 1) three_way_1w = configs.back().get();
+        if (width == 3 && workers == 4) three_way_4w = configs.back().get();
+      }
+    }
+    run_rounds(configs, spec->rounds);
+    for (const auto& config : configs) {
+      const double commits_per_sec = 1.0 / bench::median(config->secs);
+      const double mb_per_sec =
+          commits_per_sec * static_cast<double>(blob_bytes) * config->width / (1 << 20);
+      rows.push_back(bench::Fields()
+                         .put("workers", config->workers)
+                         .put("replicas", config->width)
+                         .put("image", spec->name)
+                         .put("blob_bytes", blob_bytes)
+                         .put("commits_per_sec", commits_per_sec, 4)
+                         .put("mb_per_sec", mb_per_sec, 4));
+      table.add_row({spec->name, std::to_string(config->width),
+                     std::to_string(config->workers), util::format_double(commits_per_sec, 2),
+                     util::format_double(mb_per_sec, 1)});
+    }
+    if (spec == &kLarge) {
+      // Paired per round: the same round's 1-worker time over its 4-worker time.
+      for (std::size_t round = 0; round < three_way_1w->secs.size(); ++round) {
+        large_3way_speedups.push_back(three_way_1w->secs[round] / three_way_4w->secs[round]);
       }
     }
   }
   bench::print_table(table);
 
-  const double speedup = large_3way_1w > 0 ? large_3way_4w / large_3way_1w : 0;
+  const double speedup = bench::median(large_3way_speedups);
   std::printf("speedup (large image, 3-way, 4 workers vs 1 worker): %.2fx\n", speedup);
   bench::Report report("bench_pipeline");
-  std::vector<bench::Fields> rows;
-  for (const Result& r : results) {
-    rows.push_back(bench::Fields()
-                       .put("workers", r.workers)
-                       .put("replicas", r.replicas)
-                       .put("image", r.image)
-                       .put("blob_bytes", r.blob_bytes)
-                       .put("commits_per_sec", r.commits_per_sec, 4)
-                       .put("mb_per_sec", r.mb_per_sec, 4));
-  }
   report.put("identical_1v8", deterministic)
       .put("speedup_large_3way_4workers", speedup, 4)
       .put("configs", rows);

@@ -37,8 +37,7 @@
 #
 # Every BENCH_*.json lands at the repo root and is tracked in git, so a
 # checkout always carries the numbers behind EXPERIMENTS.md and a
-# regression shows up as a diff, not a vanished file.  CKPT_WORKERS sets the
-# shared pool width for the suites (default: hardware concurrency, clamped).
+# regression shows up as a diff, not a vanished file.
 set -euo pipefail
 cd "$(dirname "$0")"
 

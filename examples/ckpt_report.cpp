@@ -7,11 +7,11 @@
 //
 // Build & run:  ./build/examples/ckpt_report [trace.json] [workers]
 //
-// The trace path defaults to ./ckpt_trace.json; `workers` pins the commit
-// pipeline width (default 0 = shared pool).  The exported trace is part of
-// the determinism contract — the CI gate runs this binary at workers=1 and
-// workers=8 and requires byte-identical files — so the binary exits
-// non-zero if either export fails the strict JSON lint.
+// The trace path defaults to ./ckpt_trace.json; `workers` is the commit
+// pipeline width (default 0 = the caller's thread, no pool).  The exported
+// trace is part of the determinism contract — the CI gate runs this binary
+// at workers=1 and workers=8 and requires byte-identical files — so the
+// binary exits non-zero if either export fails the strict JSON lint.
 #include <cstdio>
 #include <cstdlib>
 #include <string>

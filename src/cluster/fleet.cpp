@@ -206,9 +206,8 @@ FleetManager::FleetManager(FleetOptions options)
     : options_(validated(options)),
       cluster_(options.active_nodes + options.spare_nodes,
                NodeConfig{1, options.costs, options.seed}),
-      pinned_pool_(options.workers > 0 ? std::make_unique<util::ThreadPool>(options.workers)
-                                       : nullptr),
-      pool_(pinned_pool_ != nullptr ? pinned_pool_.get() : &util::ThreadPool::shared()),
+      pool_(options.workers > 1 ? std::make_unique<util::ThreadPool>(options.workers)
+                                : nullptr),
       rng_(options.seed ^ 0xF1EE7F1EE7ull),
       estimator_(options.policy),
       detector_(options.active_nodes + options.spare_nodes,
@@ -269,7 +268,6 @@ FleetManager::FleetManager(FleetOptions options)
     storage::ReplicatedOptions ropts;
     ropts.write_quorum = 1;
     ropts.retry = options_.store_retry;
-    ropts.pool = pool_;
     shard.store = std::make_unique<storage::ReplicatedStore>(
         std::vector<storage::BlobStoreBackend*>{&cluster_.node(s).disk(),
                                                 shard.remote.get()},
@@ -668,7 +666,7 @@ void FleetManager::guest_phase(SimTime window_end,
   // Every kernel is private to its slot and carries no observer, and every
   // rng draw already happened: the fan-out is embarrassingly parallel and
   // byte-identical for any worker count.
-  util::parallel_for(pool_, live.size(), [&](std::size_t k) {
+  util::parallel_for(pool_.get(), live.size(), [&](std::size_t k) {
     Slot& slot = slots_[static_cast<std::size_t>(live[k])];
     sim::SimKernel& kernel = cluster_.node(slot.node).kernel();
     run_guest_steps(kernel, recovery_.pid_of(slot.job),

@@ -37,12 +37,13 @@
 //     begin_group()/end_group() amortizes one sync across the shard's
 //     due slots per window.
 //
-// Determinism contract: guest windows run in parallel over the ThreadPool
-// (per-node kernels share nothing and carry no observer), every random
-// draw happens on the main thread before the parallel section, and all
-// commits / detection / replacement / metrics run serially between
-// windows — so reports, metrics and traces are byte-identical for any
-// CKPT_WORKERS.  Tick-level time: the fleet advances in fixed windows;
+// Determinism contract: guest windows run in parallel over the fleet's
+// own pool when FleetOptions::workers > 1 (per-node kernels share nothing
+// and carry no observer), every random draw happens on the main thread
+// before the parallel section, and all commits / detection / replacement /
+// metrics run serially between windows, the shard stores on the caller's
+// thread — so reports, metrics and traces are byte-identical for any pool
+// width.  Tick-level time: the fleet advances in fixed windows;
 // node kernels may individually run past a window boundary (commit
 // charges), which only ever feeds back through their own future windows.
 #pragma once
@@ -169,7 +170,9 @@ struct FleetOptions {
   /// Prune a slot's chain every N commits (bounds chains and, via journal
   /// erase records, log occupancy; keeps N-deep older-surviving fallback).
   std::uint32_t prune_every = 4;
-  /// Pinned worker-pool width (0 = the process-wide CKPT_WORKERS pool).
+  /// Worker-pool width for the guest phase only (0 or 1 = the caller's
+  /// thread).  Shard commits always run on the caller: a fleet image is
+  /// tens of pages, too small for a fan-out to pay.
   std::uint32_t workers = 0;
   /// Per-slot flight-recorder ring capacity: the crash-surviving black box
   /// persisted through the shard journal around every commit, recovered and
@@ -338,8 +341,7 @@ class FleetManager {
 
   FleetOptions options_;
   Cluster cluster_;
-  std::unique_ptr<util::ThreadPool> pinned_pool_;
-  util::ThreadPool* pool_;
+  std::unique_ptr<util::ThreadPool> pool_;  ///< guest phase only; null = inline
   util::Rng rng_;
   core::IntervalEstimator estimator_;
   FailureDetector detector_;

@@ -86,7 +86,7 @@ struct EngineOptions {
   bool streaming = false;
   /// Page payloads per streamed chunk.  Chunking is fixed by this knob
   /// alone — never by worker count — so streamed blobs are byte-identical
-  /// for any CKPT_WORKERS.
+  /// for any pool width.
   std::uint32_t stream_chunk_pages = 64;
 };
 

@@ -107,7 +107,7 @@ class JournalCrashReplay {
 // DESIGN.md §14): for any injected node failure, restarting only the ranks
 // on the recovery line from their images + logged message suffixes loses no
 // message, delivers no message twice, and reproduces guest state
-// byte-identically for any CKPT_WORKERS / pool width.  Each case builds a
+// byte-identically for any pool width.  Each case builds a
 // fresh deterministic scenario, runs it under per-rank cadence, kills a
 // node at a case-specific point (optionally two nodes at once), recovers,
 // runs forward, and folds rank iterations + order-sensitive receive digests
@@ -120,9 +120,9 @@ struct MpiReplayOptions {
   int nodes = 4;
   /// Crash cases; case k kills node k % nodes after k-dependent progress.
   std::uint64_t crash_points = 8;
-  /// ReplicatedStore pool width for the engines' store: 0 uses the shared
-  /// CKPT_WORKERS pool, N pins a private N-worker pool.  The report must be
-  /// identical for every value.
+  /// ReplicatedStore pool width for the engines' store: 0 commits on the
+  /// caller's thread, N gives the store a private N-worker pool.  The
+  /// report must be identical for every value.
   std::uint32_t workers = 0;
   /// Persist sender logs through a log-structured journal at every commit
   /// (the concurrent-failure depth-1 configuration).

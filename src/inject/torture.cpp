@@ -142,8 +142,8 @@ TortureReport TortureHarness::run(const TortureTarget& target) {
   storage::RemoteBackend remote{kernel.costs()};
   std::vector<std::unique_ptr<storage::RemoteBackend>> extra_remotes;
   std::vector<storage::BlobStoreBackend*> replicas;
-  // Pinned-width commit pool (declared before the store so it outlives it);
-  // workers == 0 leaves the store on the shared CKPT_WORKERS pool.
+  // Commit pool (declared before the store so it outlives it); workers == 0
+  // leaves the store without one, so it commits on this thread.
   std::unique_ptr<util::ThreadPool> pinned_pool;
   std::unique_ptr<storage::ReplicatedStore> replicated;
   std::unique_ptr<storage::LogStructuredBackend> journal_store;

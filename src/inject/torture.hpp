@@ -69,10 +69,10 @@ struct TortureOptions {
   /// Retry schedule the ReplicatedStore applies per staged write and per
   /// load sweep in replicated mode.
   storage::RetryPolicy retry = storage::RetryPolicy::bounded(3, 50 * kMillisecond);
-  /// Commit-pipeline worker count in replicated mode: 0 uses the shared
-  /// pool (the CKPT_WORKERS knob); N pins a private N-worker pool.  The
-  /// soak must be bit-identical for every value — the pipeline determinism
-  /// tests run the battery at 1 and 8 workers and diff the reports.
+  /// Commit-pipeline worker count in replicated mode: 0 commits on the
+  /// caller's thread; N gives the store a private N-worker pool.  The soak
+  /// must be bit-identical for every value — the pipeline determinism tests
+  /// run the battery at 1 and 8 workers and diff the reports.
   std::uint32_t workers = 0;
   /// Content-addressed dedup on the torture store (storage/dedup).  Only
   /// valid together with replicated_storage: with a single media copy, one

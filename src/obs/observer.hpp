@@ -18,7 +18,7 @@
 // host thread ids or pointers — and instrumented parallel sections must
 // not emit from pool workers (they ledger sim-time charges and render
 // events after the ordered join).  Exports are therefore byte-identical
-// across runs and for any CKPT_WORKERS value, and attaching an Observer
+// across runs and for any pool width, and attaching an Observer
 // never perturbs the simulation it observes: hooks record, they never
 // charge sim time themselves.
 #pragma once

@@ -12,7 +12,7 @@
 // Determinism contract: ingestion keys on the node id (std::map order),
 // quantiles are integer bucket-bound estimates (HistogramData::percentile),
 // and rollup_json() renders sorted names and integers only — byte-identical
-// for any ingestion order or CKPT_WORKERS.
+// for any ingestion order or pool width.
 #pragma once
 
 #include <cstdint>

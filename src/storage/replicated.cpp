@@ -50,7 +50,6 @@ ReplicatedStore::ReplicatedStore(std::vector<BlobStoreBackend*> replicas,
   const std::unordered_set<const BlobStoreBackend*> distinct(replicas_.begin(),
                                                              replicas_.end());
   distinct_replicas_ = distinct.size() == replicas_.size();
-  pool_ = options_.pool != nullptr ? options_.pool : &util::ThreadPool::shared();
   if (options_.dedup) {
     // The table is pure host-side identity bookkeeping shared by all
     // replicas; metrics go through options_.observer from this layer.
@@ -271,7 +270,7 @@ StoreReceipt ReplicatedStore::store_verbose(const CheckpointImage& image,
   if (table_ != nullptr) {
     enc = table_->encode(image);
   } else {
-    blob = image.serialize(*pool_);
+    blob = options_.pool != nullptr ? image.serialize(*options_.pool) : image.serialize();
   }
   const std::vector<std::byte>& manifest = enc.has_value() ? enc->manifest : blob;
   // The flat blob's CRC comes from its envelope: serialize() already hashed
@@ -314,7 +313,7 @@ StoreReceipt ReplicatedStore::store_verbose(const CheckpointImage& image,
   // Replica slots sharing a backend stage inline: their staging would race
   // on one blob map.
   std::vector<ReplicaStage> stages(replicas_.size());
-  util::parallel_for(distinct_replicas_ ? pool_ : nullptr, replicas_.size(),
+  util::parallel_for(distinct_replicas_ ? options_.pool : nullptr, replicas_.size(),
                      [&](std::size_t r) {
                        stages[r] = stage_replica(r, manifest, crc, missing[r], salt);
                      });

@@ -39,16 +39,16 @@
 // write quorum: publish the manifest entry, or roll every stage back.
 //
 // store() is a *parallel pipeline* (paper §4.1's concurrent kernel-thread
-// direction, mapped onto host threads): the image is serialized in
-// per-segment shards on a worker pool, and the N replica stage+verify
-// fan-out runs concurrently (one task per replica).  Those are the two
-// fan-outs bench_pipeline shows paying off on large images.  Determinism is
-// preserved — ordered joins, per-replica charge ledgers replayed in replica
-// order, per-replica retry salt — so a 1-worker and an 8-worker run produce
-// bit-identical replica contents, manifests and simulated-clock charges.  A
-// 1-worker pool runs both fan-outs inline: it is the serial reference the
-// identity tests compare against.  store_streamed(), load and scrub() run
-// on the caller's thread.
+// direction, mapped onto host threads) when its owner passes a pool in
+// ReplicatedOptions::pool: the image is serialized in per-segment shards on
+// that pool, and the N replica stage+verify fan-out runs concurrently (one
+// task per replica).  Those are the two fan-outs bench_pipeline shows paying
+// off on large images; without a pool both run on the caller's thread.
+// Determinism is preserved — ordered joins, per-replica charge ledgers
+// replayed in replica order, per-replica retry salt — so an inline, a
+// 1-worker and an 8-worker run produce bit-identical replica contents,
+// manifests and simulated-clock charges.  store_streamed(), load and
+// scrub() always run on the caller's thread.
 #pragma once
 
 #include <cstdint>
@@ -95,13 +95,14 @@ struct ReplicatedOptions {
   /// Retry schedule for per-replica staging and for load sweeps.
   RetryPolicy retry;
   /// Worker pool for store()'s commit pipeline: sharded serialize and
-  /// concurrent replica staging.  nullptr selects the
-  /// process-wide ThreadPool::shared() (sized by CKPT_WORKERS).  Parallelism
-  /// is host wall-clock only — per-replica sim-time charges are ledgered on
-  /// the workers and replayed through the caller's ChargeFn in replica
-  /// order, so sim cost accounting, retry jitter and every stored byte are
-  /// identical to a 1-worker pool for any worker count.  Staged bytes are
-  /// always read back and CRC64-verified before the commit point.
+  /// concurrent replica staging.  nullptr (the default) runs the whole
+  /// commit on the caller's thread; only an owner that hands in a pool gets
+  /// host threads.  Parallelism is host wall-clock only — per-replica
+  /// sim-time charges are ledgered on the workers and replayed through the
+  /// caller's ChargeFn in replica order, so sim cost accounting, retry
+  /// jitter and every stored byte are identical to the inline commit for
+  /// any pool width.  Staged bytes are always read back and CRC64-verified
+  /// before the commit point.
   util::ThreadPool* pool = nullptr;
   /// Observability sink (null = disabled).  Store/scrub phases emit spans on
   /// the storage track; per-replica events are recorded with explicit
@@ -270,7 +271,7 @@ class ReplicatedStore final : public StorageBackend, public ChunkReclaimable {
   /// staging charged.  The caller replays `charges` through its ChargeFn in
   /// replica order and renders the replica-stage span from `spent` and the
   /// retry marks — identically whether staging ran inline or on a worker,
-  /// which is what keeps charges and traces invariant under CKPT_WORKERS.
+  /// which is what keeps charges and traces invariant for any pool width.
   struct ReplicaStage {
     ImageId manifest_id = kBadImageId;
     std::vector<std::pair<ChunkKey, ImageId>> chunks;
@@ -321,8 +322,7 @@ class ReplicatedStore final : public StorageBackend, public ChunkReclaimable {
 
   std::vector<BlobStoreBackend*> replicas_;
   ReplicatedOptions options_;
-  util::ThreadPool* pool_ = nullptr;  ///< options_.pool or the shared pool
-  bool distinct_replicas_ = true;     ///< replica slots never share a backend
+  bool distinct_replicas_ = true;  ///< replica slots never share a backend
   std::map<ImageId, Entry> manifest_;
   std::unique_ptr<ChunkTable> table_;  ///< non-null iff options_.dedup
   /// chunk → (replica index → physical blob id); a replica missing from a

@@ -1,8 +1,6 @@
 #include "util/threadpool.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <string>
 
 namespace ckpt::util {
 
@@ -13,18 +11,6 @@ namespace {
 thread_local const ThreadPool* tl_worker_of = nullptr;
 
 }  // namespace
-
-unsigned default_workers() {
-  if (const char* env = std::getenv("CKPT_WORKERS"); env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    const long parsed = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0') {
-      return static_cast<unsigned>(std::clamp(parsed, 1L, 64L));
-    }
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return std::clamp(hw, 1u, 8u);
-}
 
 ThreadPool::ThreadPool(unsigned workers) : worker_count_(std::max(workers, 1u)) {
   if (worker_count_ < 2) return;  // 1-worker pool: strictly inline
@@ -118,11 +104,6 @@ void ThreadPool::run(std::size_t count, const std::function<void(std::size_t)>& 
     job_ = nullptr;
   }
   if (job.error != nullptr) std::rethrow_exception(job.error);
-}
-
-ThreadPool& ThreadPool::shared() {
-  static ThreadPool pool(default_workers());
-  return pool;
 }
 
 void parallel_for(ThreadPool* pool, std::size_t count,

@@ -19,8 +19,8 @@
 //   * A 1-worker pool executes inline on the calling thread — the serial
 //     reference the determinism tests compare an 8-worker run against.
 //
-// The worker count defaults to the CKPT_WORKERS environment variable
-// (clamped), falling back to hardware concurrency.
+// There is no process-wide pool: a component runs host threads only on a
+// pool its owner passes in, and a null pool means the caller's thread.
 #pragma once
 
 #include <atomic>
@@ -33,10 +33,6 @@
 #include <vector>
 
 namespace ckpt::util {
-
-/// Worker count from the CKPT_WORKERS env var (clamped to [1, 64]); when
-/// unset or unparsable, hardware concurrency clamped to [1, 8].
-unsigned default_workers();
 
 class ThreadPool {
  public:
@@ -57,9 +53,6 @@ class ThreadPool {
   /// the error surfaced does not depend on scheduling).  Nested calls from
   /// inside a worker execute inline rather than deadlocking.
   void run(std::size_t count, const std::function<void(std::size_t)>& body);
-
-  /// Process-wide pool sized by default_workers() — the CKPT_WORKERS knob.
-  static ThreadPool& shared();
 
  private:
   struct Job {

@@ -2,8 +2,12 @@
 // RetryPolicy (determinism, deadline, zero-retry degradation).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
+#include <mutex>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/observer.hpp"
@@ -528,6 +532,73 @@ TEST(PipelineDeterminism, DuplicateReplicaSlotsFallBackToTheSequentialLoop) {
   EXPECT_TRUE(receipt.ok());
   EXPECT_EQ(receipt.committed_replicas, 2u);
   EXPECT_TRUE(store.load(receipt.id, nullptr).has_value());
+}
+
+/// A replica that records which threads charged it I/O.  Staging and the
+/// read-back verify both charge io_cost, so the set names where they ran.
+class ThreadRecordingBackend final : public BlobStoreBackend {
+ public:
+  [[nodiscard]] StorageLocality locality() const override { return StorageLocality::kRemote; }
+  [[nodiscard]] std::set<std::thread::id> threads() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return threads_;
+  }
+
+ protected:
+  [[nodiscard]] SimTime io_cost(std::uint64_t bytes) const override {
+    std::lock_guard<std::mutex> lock(mu_);
+    threads_.insert(std::this_thread::get_id());
+    return static_cast<SimTime>(bytes);
+  }
+
+ private:
+  mutable std::mutex mu_;
+  mutable std::set<std::thread::id> threads_;
+};
+
+/// Eight wide commits to a 3-replica store on `pool` (null: no pool);
+/// returns every replica's blobs, replica by replica, and each replica's
+/// charging threads.
+struct ThreadedRun {
+  std::vector<std::vector<std::byte>> blobs;
+  std::array<std::set<std::thread::id>, 3> threads;
+};
+
+ThreadedRun drive_three_replicas(util::ThreadPool* pool, bool dedup) {
+  std::array<ThreadRecordingBackend, 3> backends;
+  ReplicatedOptions options;
+  options.pool = pool;
+  options.dedup = dedup;
+  ReplicatedStore store({&backends[0], &backends[1], &backends[2]}, options);
+  for (std::uint64_t tag = 0; tag < 8; ++tag) {
+    EXPECT_TRUE(store.store_verbose(make_wide_image(tag, /*segments=*/6), nullptr).ok());
+  }
+  ThreadedRun run;
+  for (std::size_t r = 0; r < backends.size(); ++r) {
+    for (const ImageId id : backends[r].list()) {
+      run.blobs.push_back(backends[r].read_blob(id, nullptr).value());
+    }
+    run.threads[r] = backends[r].threads();
+  }
+  return run;
+}
+
+TEST(PipelineThreads, StoreWithoutAPoolStagesAndVerifiesOnTheCallersThread) {
+  const std::set<std::thread::id> caller{std::this_thread::get_id()};
+  for (const bool dedup : {false, true}) {
+    const ThreadedRun run = drive_three_replicas(nullptr, dedup);
+    for (std::size_t r = 0; r < run.threads.size(); ++r) {
+      EXPECT_EQ(run.threads[r], caller) << (dedup ? "dedup" : "flat") << " replica " << r;
+    }
+  }
+}
+
+TEST(PipelineThreads, FlatStoreOnAFourWorkerPoolLandsTheInlineBytes) {
+  util::ThreadPool four(4);
+  const ThreadedRun inline_run = drive_three_replicas(nullptr, /*dedup=*/false);
+  const ThreadedRun pooled_run = drive_three_replicas(&four, /*dedup=*/false);
+  EXPECT_FALSE(inline_run.blobs.empty());
+  EXPECT_EQ(pooled_run.blobs, inline_run.blobs);
 }
 
 /// `image` in the streamed layout: prelude, one chunk per segment (VMA

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -103,21 +102,6 @@ TEST(ThreadPool, ParallelForFallsBackToInlineWithoutAPool) {
   std::vector<int> out(10, 0);
   parallel_for(nullptr, out.size(), [&](std::size_t i) { out[i] = static_cast<int>(i); });
   for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], static_cast<int>(i));
-}
-
-TEST(DefaultWorkers, HonorsAndClampsTheEnvironmentKnob) {
-  ASSERT_EQ(setenv("CKPT_WORKERS", "3", 1), 0);
-  EXPECT_EQ(default_workers(), 3u);
-  ASSERT_EQ(setenv("CKPT_WORKERS", "0", 1), 0);
-  EXPECT_EQ(default_workers(), 1u);  // clamped up
-  ASSERT_EQ(setenv("CKPT_WORKERS", "9999", 1), 0);
-  EXPECT_EQ(default_workers(), 64u);  // clamped down
-  ASSERT_EQ(setenv("CKPT_WORKERS", "banana", 1), 0);
-  const unsigned fallback = default_workers();  // unparsable: hardware fallback
-  EXPECT_GE(fallback, 1u);
-  EXPECT_LE(fallback, 8u);
-  ASSERT_EQ(unsetenv("CKPT_WORKERS"), 0);
-  EXPECT_GE(default_workers(), 1u);
 }
 
 TEST(BufferPool, RetainsCapacityAcrossAcquireRelease) {
