@@ -23,8 +23,11 @@
 #include "core/capture.hpp"
 #include "sim/guests.hpp"
 #include "sim/kernel.hpp"
+#include "storage/backend.hpp"
+#include "storage/chain.hpp"
 #include "storage/image.hpp"
 #include "util/crc64.hpp"
+#include "util/rng.hpp"
 #include "util/serialize.hpp"
 
 namespace {
@@ -141,6 +144,38 @@ void BM_ForkCow(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ForkCow);
+
+// Restart of an incremental chain at depth 7 from memory: an 8 MiB full
+// image plus seven deltas, each rewriting a seeded 10% of its pages whole.
+// Loads (deserialize + CRC) and the chain fold are both inside the loop.
+void BM_ChainReconstruct(benchmark::State& state) {
+  constexpr std::uint64_t kPages = (8 << 20) / sim::kPageSize;
+  storage::MemoryBackend backend{sim::CostModel{}};
+  storage::CheckpointChain chain(&backend);
+  util::Rng rng(0xC4A1'2026ULL);
+  const sim::Vma vma{sim::page_of(0x10000), kPages, sim::kProtRW, sim::VmaKind::kData, "data"};
+  for (std::uint64_t link = 0; link < 8; ++link) {
+    storage::CheckpointImage image;
+    image.kind = link == 0 ? storage::ImageKind::kFull : storage::ImageKind::kIncremental;
+    image.threads.push_back(storage::ThreadImage{1, {}});
+    storage::MemorySegmentImage seg;
+    seg.vma = vma;
+    for (std::uint64_t i = 0; i < kPages; ++i) {
+      if (link > 0 && !rng.next_bool(0.1)) continue;
+      seg.pages.push_back(storage::PageImage{
+          vma.first_page + i, 0,
+          std::vector<std::byte>(sim::kPageSize, static_cast<std::byte>(link * 31 + i))});
+    }
+    image.segments.push_back(std::move(seg));
+    chain.append(std::move(image), nullptr);
+  }
+  const std::uint64_t newest = chain.newest_sequence();
+  for (auto _ : state) {
+    const auto image = chain.reconstruct_at(newest, nullptr);
+    benchmark::DoNotOptimize(image->page_count());
+  }
+}
+BENCHMARK(BM_ChainReconstruct)->Unit(benchmark::kMillisecond);
 
 /// The console reporter (uncoloured), plus the two figures the crc gate
 /// reads.

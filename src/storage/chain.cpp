@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <map>
+#include <utility>
 
 namespace ckpt::storage {
 
@@ -28,6 +29,56 @@ std::optional<CheckpointImage> CheckpointChain::reconstruct(const ChargeFn& char
   return reconstruct_at(entries_.back().sequence, charge);
 }
 
+namespace {
+
+/// The chain's pages, newest bytes so far, one whole-page buffer each.
+using PageTable = std::map<sim::PageNum, std::vector<std::byte>>;
+
+/// Fold one loaded image's payloads into `pages`, in image order: a whole
+/// page moves its buffer in, a sub-page range overlays the page's buffer (a
+/// zero page when there is none yet), clamped to the page.
+void absorb(PageTable& pages, CheckpointImage& image) {
+  for (auto& segment : image.segments) {
+    for (auto& page : segment.pages) {
+      if (page.offset == 0 && page.data.size() == sim::kPageSize) {
+        pages.insert_or_assign(page.page, std::move(page.data));
+        continue;
+      }
+      auto [it, inserted] = pages.try_emplace(page.page);
+      if (inserted) it->second.assign(sim::kPageSize, std::byte{0});
+      const std::size_t end = std::min<std::size_t>(sim::kPageSize,
+                                                    page.offset + page.data.size());
+      if (page.offset >= end) continue;
+      std::copy(page.data.begin(),
+                page.data.begin() + static_cast<std::ptrdiff_t>(end - page.offset),
+                it->second.begin() + page.offset);
+    }
+  }
+}
+
+/// Erase every page outside `segments`' VMAs: one walk over the sorted
+/// table, jumping from range to range.  A page an intermediate delta
+/// unmapped never comes back.
+void drop_unmapped(PageTable& pages, const std::vector<MemorySegmentImage>& segments) {
+  std::vector<std::pair<sim::PageNum, sim::PageNum>> ranges;
+  ranges.reserve(segments.size());
+  for (const auto& segment : segments) {
+    ranges.emplace_back(segment.vma.first_page,
+                        segment.vma.first_page + segment.vma.page_count);
+  }
+  std::sort(ranges.begin(), ranges.end());
+  auto it = pages.begin();
+  sim::PageNum covered = 0;
+  for (const auto& [first, end] : ranges) {
+    it = pages.erase(it, pages.lower_bound(std::max(first, covered)));
+    covered = std::max(covered, end);
+    it = pages.lower_bound(covered);
+  }
+  pages.erase(it, pages.end());
+}
+
+}  // namespace
+
 std::optional<CheckpointImage> CheckpointChain::reconstruct_at(std::uint64_t sequence,
                                                                const ChargeFn& charge) const {
   // Find the newest full image at or before `sequence`.
@@ -41,13 +92,41 @@ std::optional<CheckpointImage> CheckpointChain::reconstruct_at(std::uint64_t seq
   if (full_idx < 0 || target_idx < 0) return std::nullopt;
 
   auto base = backend_->load(entries_[static_cast<std::size_t>(full_idx)].id, charge);
-  if (!base.has_value()) return std::nullopt;
+  if (!base.has_value() || full_idx == target_idx) return base;
+
+  // Every link loads, oldest first, even when newer deltas cover its pages:
+  // the loads and their charges are the restart's sim-time cost, and a
+  // corrupt link must fail the restart.
+  PageTable pages;
+  absorb(pages, *base);
+  std::optional<CheckpointImage> newest;
   for (std::ptrdiff_t i = full_idx + 1; i <= target_idx; ++i) {
-    auto delta = backend_->load(entries_[static_cast<std::size_t>(i)].id, charge);
-    if (!delta.has_value()) return std::nullopt;
-    apply_delta(*base, *delta);
+    newest = backend_->load(entries_[static_cast<std::size_t>(i)].id, charge);
+    if (!newest.has_value()) return std::nullopt;
+    absorb(pages, *newest);
+    drop_unmapped(pages, newest->segments);
   }
-  return base;
+
+  // The newest delta supplies every scalar and the VMA layout; the process
+  // identity stays the full image's.
+  CheckpointImage& out = *newest;
+  out.kind = ImageKind::kFull;
+  out.parent_sequence = 0;
+  out.pid = base->pid;
+  out.process_name = std::move(base->process_name);
+  out.hostname = std::move(base->hostname);
+  out.guest = std::move(base->guest);
+  for (auto& segment : out.segments) {
+    segment.pages.clear();
+    const sim::PageNum end = segment.vma.first_page + segment.vma.page_count;
+    for (auto it = pages.lower_bound(segment.vma.first_page);
+         it != pages.end() && it->first < end; ++it) {
+      // Delta VMAs never share a page number, so each buffer moves out once.
+      assert(it->second.size() == sim::kPageSize);
+      segment.pages.push_back(PageImage{it->first, 0, std::move(it->second)});
+    }
+  }
+  return newest;
 }
 
 std::optional<CheckpointImage> CheckpointChain::reconstruct_newest_surviving(
@@ -105,66 +184,6 @@ std::size_t CheckpointChain::links_from_last_full() const {
     if (it->kind == ImageKind::kFull) return links;
   }
   return links;
-}
-
-void apply_delta(CheckpointImage& base, const CheckpointImage& delta) {
-  // Everything scalar comes from the delta (it is the newer observation).
-  base.kind = ImageKind::kFull;  // result is a complete state
-  base.sequence = delta.sequence;
-  base.parent_sequence = 0;
-  base.taken_at = delta.taken_at;
-  base.threads = delta.threads;
-  base.brk = delta.brk;
-  base.heap_base = delta.heap_base;
-  base.mmap_next = delta.mmap_next;
-  base.sig_pending = delta.sig_pending;
-  base.sig_mask = delta.sig_mask;
-  base.sig_dispositions = delta.sig_dispositions;
-  base.files = delta.files;
-  base.bound_ports = delta.bound_ports;
-
-  // Merge memory: index base pages, overlay delta payloads (which may be
-  // partial-page block or cache-line ranges), and adopt the delta's VMA
-  // layout (regions may have grown or been unmapped).
-  std::map<sim::PageNum, std::vector<std::byte>> merged;
-  auto page_buffer = [&](sim::PageNum p) -> std::vector<std::byte>& {
-    auto [it, inserted] = merged.try_emplace(p);
-    if (inserted) it->second.assign(sim::kPageSize, std::byte{0});
-    return it->second;
-  };
-  auto overlay = [&](const PageImage& page) {
-    auto& buf = page_buffer(page.page);
-    const std::size_t end = std::min<std::size_t>(sim::kPageSize,
-                                                  page.offset + page.data.size());
-    if (page.offset >= end) return;
-    std::copy(page.data.begin(),
-              page.data.begin() + static_cast<std::ptrdiff_t>(end - page.offset),
-              buf.begin() + page.offset);
-  };
-  for (const auto& segment : base.segments) {
-    for (const auto& page : segment.pages) overlay(page);
-  }
-  for (const auto& segment : delta.segments) {
-    for (const auto& page : segment.pages) overlay(page);
-  }
-
-  std::vector<MemorySegmentImage> out;
-  out.reserve(delta.segments.size());
-  for (const auto& segment : delta.segments) {
-    MemorySegmentImage seg;
-    seg.vma = segment.vma;
-    for (sim::PageNum p = segment.vma.first_page;
-         p < segment.vma.first_page + segment.vma.page_count; ++p) {
-      auto it = merged.find(p);
-      if (it != merged.end()) {
-        // Delta VMAs never share a page number, so each buffer moves out once.
-        assert(it->second.size() == sim::kPageSize);
-        seg.pages.push_back(PageImage{p, 0, std::move(it->second)});
-      }
-    }
-    out.push_back(std::move(seg));
-  }
-  base.segments = std::move(out);
 }
 
 }  // namespace ckpt::storage

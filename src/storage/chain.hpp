@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -36,12 +35,20 @@ class CheckpointChain {
   using StoreFn = std::function<ImageId(const CheckpointImage&)>;
   ImageId append_via(CheckpointImage& image, const StoreFn& store_fn);
 
-  /// Reconstruct complete state as of the newest image: loads the most
-  /// recent full image and applies deltas in order.  nullopt if any link
-  /// is missing/corrupt or the backend is unreachable.
+  /// Reconstruct complete state as of the newest image (reconstruct_at the
+  /// newest sequence).  nullopt if any link is missing/corrupt or the
+  /// backend is unreachable.
   [[nodiscard]] std::optional<CheckpointImage> reconstruct(const ChargeFn& charge) const;
 
-  /// Reconstruct as of a given sequence number.
+  /// Reconstruct as of a given sequence number in one fold over the chain.
+  /// Every link from the newest full image at or before `sequence` is
+  /// loaded, oldest first, and the first failed load returns nullopt.  The
+  /// fold keeps one buffer per page: a whole page moves its loaded buffer
+  /// in, a sub-page range overlays the newest bytes so far, and after each
+  /// delta the pages outside that delta's VMAs are dropped.  The result
+  /// takes the target's VMA layout and scalars (registers, files, signals,
+  /// heap bounds) with the full image's process identity; a target that is
+  /// itself the full image comes back exactly as loaded.
   [[nodiscard]] std::optional<CheckpointImage> reconstruct_at(std::uint64_t sequence,
                                                               const ChargeFn& charge) const;
 
@@ -104,9 +111,5 @@ class CheckpointChain {
   std::vector<Entry> entries_;
   std::uint64_t next_sequence_ = 1;
 };
-
-/// Merge a delta into an accumulated full image: newer pages replace older
-/// ones, VMA layout/regs/files/signals come from the delta (it is newer).
-void apply_delta(CheckpointImage& base, const CheckpointImage& delta);
 
 }  // namespace ckpt::storage
