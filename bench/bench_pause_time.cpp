@@ -128,7 +128,7 @@ Point run_point(std::uint64_t array_bytes, std::uint64_t writes_per_step) {
 }
 
 /// Streamed commit on one worker vs eight: image id, replica bytes, pause and
-/// sim-time must all be identical (chunking is fixed by stream_chunk_pages,
+/// sim-time must all be identical (chunking is fixed by kStreamChunkPages,
 /// never by pool width).
 bool identical_1v8(std::uint64_t array_bytes, std::uint64_t writes_per_step) {
   World one(core::ConsistencyMode::kForkAndCopy, /*streaming=*/true, 1);

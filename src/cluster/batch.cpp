@@ -57,20 +57,4 @@ BatchManager::SweepResult BatchManager::checkpoint_all() {
   return result;
 }
 
-void BatchManager::start_periodic(SimTime interval) {
-  periodic_ = true;
-  interval_ = interval;
-  arm_next();
-}
-
-void BatchManager::stop_periodic() { periodic_ = false; }
-
-void BatchManager::arm_next() {
-  cluster_.add_event(cluster_.now() + interval_, [this](Cluster&) {
-    if (!periodic_) return;
-    checkpoint_all();
-    arm_next();
-  });
-}
-
 }  // namespace ckpt::cluster

@@ -48,23 +48,15 @@ class BatchManager {
   /// node.  Refuses entirely when the head node is down.
   SweepResult checkpoint_all();
 
-  /// Arm a periodic sweep as a cluster event; re-arms until stop_periodic().
-  void start_periodic(SimTime interval);
-  void stop_periodic();
-
   [[nodiscard]] bool head_alive() const;
   [[nodiscard]] std::uint64_t sweeps() const { return sweeps_; }
 
  private:
-  void arm_next();
-
   Cluster& cluster_;
   int head_node_;
   std::vector<core::CheckpointEngine*> engines_;
   std::vector<Job> jobs_;
   std::uint64_t sweeps_ = 0;
-  bool periodic_ = false;
-  SimTime interval_ = 0;
 };
 
 }  // namespace ckpt::cluster

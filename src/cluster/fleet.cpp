@@ -13,6 +13,18 @@
 namespace ckpt::cluster {
 namespace {
 
+/// Segments in each shard's journal ring (segments of the default
+/// JournalOptions::segment_bytes): every commit appends to it (group
+/// commit) and the migrator publishes it to the shard store.
+constexpr std::uint32_t kJournalSegments = 24;
+/// Background migrator cadence, in windows (per shard, staggered).
+constexpr std::uint64_t kMigrateEvery = 4;
+/// Scrub cadence, in windows (per shard, staggered).
+constexpr std::uint64_t kScrubEvery = 16;
+/// Prune a slot's chain every N commits (bounds chains and, via journal
+/// erase records, log occupancy; keeps N-deep older-surviving fallback).
+constexpr std::uint64_t kPruneEvery = 4;
+
 /// FNV-1a over the seed and slot index: the per-slot stagger phase.
 std::uint64_t stagger_hash(std::uint64_t seed, std::uint64_t slot) {
   std::uint64_t h = 1469598103934665603ull ^ seed;
@@ -66,8 +78,8 @@ const FleetOptions& validated(const FleetOptions& options) {
 
 // --- FailureDetector --------------------------------------------------------
 
-FailureDetector::FailureDetector(int nodes, DetectorOptions options)
-    : options_(options), nodes_(static_cast<std::size_t>(nodes)) {}
+FailureDetector::FailureDetector(int nodes, SimTime heartbeat_interval)
+    : heartbeat_interval_(heartbeat_interval), nodes_(static_cast<std::size_t>(nodes)) {}
 
 void FailureDetector::observe_heartbeat(int node, SimTime at) {
   Tracked& t = nodes_.at(static_cast<std::size_t>(node));
@@ -77,17 +89,17 @@ void FailureDetector::observe_heartbeat(int node, SimTime at) {
 }
 
 void FailureDetector::tick(SimTime now) {
-  const SimTime interval = options_.heartbeat_interval == 0 ? 1 : options_.heartbeat_interval;
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     Tracked& t = nodes_[i];
     if (t.state == NodeState::kConfirmedDead) continue;
     const std::uint64_t missed =
-        now > t.last_beat ? static_cast<std::uint64_t>((now - t.last_beat) / interval) : 0;
-    if (missed >= options_.confirm_after_missed) {
+        now > t.last_beat ? static_cast<std::uint64_t>((now - t.last_beat) / heartbeat_interval_)
+                          : 0;
+    if (missed >= kConfirmAfterMissed) {
       t.state = NodeState::kConfirmedDead;
       ++confirmations_;
       confirmed_queue_.push_back(static_cast<int>(i));
-    } else if (missed >= options_.suspect_after_missed) {
+    } else if (missed >= kSuspectAfterMissed) {
       if (t.state != NodeState::kSuspected) ++suspicions_;
       t.state = NodeState::kSuspected;
     }
@@ -204,15 +216,12 @@ std::string FleetReport::summary() const {
 
 FleetManager::FleetManager(FleetOptions options)
     : options_(validated(options)),
-      cluster_(options.active_nodes + options.spare_nodes,
-               NodeConfig{1, options.costs, options.seed}),
+      cluster_(options.active_nodes + options.spare_nodes, NodeConfig{options.seed}),
       pool_(options.workers > 1 ? std::make_unique<util::ThreadPool>(options.workers)
                                 : nullptr),
       rng_(options.seed ^ 0xF1EE7F1EE7ull),
       estimator_(options.policy),
-      detector_(options.active_nodes + options.spare_nodes,
-                DetectorOptions{options.window, options.suspect_after_missed,
-                                options.confirm_after_missed}),
+      detector_(options.active_nodes + options.spare_nodes, FleetOptions::window),
       replacer_([&options] {
         std::vector<int> spares;
         for (int i = 0; i < options.spare_nodes; ++i) {
@@ -263,20 +272,13 @@ FleetManager::FleetManager(FleetOptions options)
   shards_.resize(static_cast<std::size_t>(options_.shards));
   for (int s = 0; s < options_.shards; ++s) {
     Shard& shard = shards_[static_cast<std::size_t>(s)];
-    shard.remote = std::make_unique<storage::RemoteBackend>(options_.costs);
+    shard.remote = std::make_unique<storage::RemoteBackend>(sim::CostModel{});
     shard.storage_home = s;  // lowest-id slot of shard s lives on node s
-    storage::ReplicatedOptions ropts;
-    ropts.write_quorum = 1;
-    ropts.retry = options_.store_retry;
     shard.store = std::make_unique<storage::ReplicatedStore>(
         std::vector<storage::BlobStoreBackend*>{&cluster_.node(s).disk(),
-                                                shard.remote.get()},
-        ropts);
+                                                shard.remote.get()});
     storage::JournalOptions jopts;
-    jopts.segment_bytes = options_.journal_segment_bytes;
-    jopts.segments = options_.journal_segments;
-    jopts.migrate_on_demand = true;
-    jopts.costs = options_.costs;
+    jopts.segments = kJournalSegments;
     shard.journal = std::make_unique<storage::LogStructuredBackend>(shard.store.get(), jopts);
   }
 
@@ -287,7 +289,6 @@ FleetManager::FleetManager(FleetOptions options)
     slot.node = i;
     slot.shard = i % options_.shards;
     slot.stagger = stagger_hash(options_.seed, static_cast<std::uint64_t>(i));
-    slot.flight = obs::FlightRecorder(options_.flight_capacity);
     Shard& shard = shards_[static_cast<std::size_t>(slot.shard)];
     shard.slots.push_back(i);
     sim::WriterConfig config;
@@ -315,9 +316,8 @@ void FleetManager::suppress_heartbeats(int node, std::uint32_t beats) {
 }
 
 std::uint64_t FleetManager::interval_windows() const {
-  if (options_.window == 0) return 1;
   const SimTime interval = estimator_.interval();
-  return std::max<std::uint64_t>(1, (interval + options_.window / 2) / options_.window);
+  return std::max<std::uint64_t>(1, (interval + FleetOptions::window / 2) / FleetOptions::window);
 }
 
 int FleetManager::slot_node(int slot) const {
@@ -349,7 +349,7 @@ bool FleetManager::due_this_window(const Slot& slot, std::uint64_t window_index,
 }
 
 FleetReport FleetManager::run(std::uint64_t windows) {
-  const SimTime horizon = cluster_.now() + static_cast<SimTime>(windows) * options_.window;
+  const SimTime horizon = cluster_.now() + static_cast<SimTime>(windows) * FleetOptions::window;
   for (auto& injector : injectors_) injector->arm(horizon);
   const std::uint64_t first = report_.windows;
   for (std::uint64_t w = 0; w < windows; ++w) step_window(first + w);
@@ -377,7 +377,7 @@ FleetReport FleetManager::run(std::uint64_t windows) {
 }
 
 void FleetManager::step_window(std::uint64_t window_index) {
-  const SimTime window_end = cluster_.now() + options_.window;
+  const SimTime window_end = cluster_.now() + FleetOptions::window;
 
   // Pre-draw every random decision on the main thread: the parallel guest
   // phase must not touch the fleet rng (worker-count invariance).
@@ -675,7 +675,7 @@ void FleetManager::guest_phase(SimTime window_end,
   });
   // Useful-work ledger, charged serially after the join (the accountant is
   // main-thread state): every live slot progressed one guest window.
-  for (int i : live) accountant_.charge_useful(i, options_.window);
+  for (int i : live) accountant_.charge_useful(i, FleetOptions::window);
 }
 
 void FleetManager::commit_phase(std::uint64_t window_index) {
@@ -725,7 +725,7 @@ void FleetManager::commit_phase(std::uint64_t window_index) {
         slot.node_metrics.add("node.commits");
         slot.node_metrics.observe("node.commit_latency_ns", cost,
                                   obs::MetricsRegistry::latency_bounds());
-        if (options_.prune_every != 0 && slot.commits % options_.prune_every == 0) {
+        if (slot.commits % kPruneEvery == 0) {
           recovery_.chain(slot.job).prune(storage::ChargeFn{});
         }
       } else {
@@ -750,13 +750,12 @@ void FleetManager::maintenance_phase(std::uint64_t window_index) {
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = shards_[s];
     // Staggered per shard so background work is level, like the commits.
-    if (!shard.journal->crashed() && options_.migrate_every != 0 &&
-        (window_index + s) % options_.migrate_every == 0) {
+    if (!shard.journal->crashed() && (window_index + s) % kMigrateEvery == 0) {
       const auto mr = shard.journal->migrate(storage::ChargeFn{});
       report_.migrated_images += mr.images_drained;
       report_.migrated_bytes += mr.bytes_drained;
     }
-    if (options_.scrub_every != 0 && (window_index + s) % options_.scrub_every == 0) {
+    if ((window_index + s) % kScrubEvery == 0) {
       const storage::ScrubReport sr = shard.store->scrub(storage::ChargeFn{});
       report_.scrub_repairs += sr.repaired;
       report_.scrub_unrepairable += sr.unrepairable;

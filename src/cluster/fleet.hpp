@@ -14,8 +14,8 @@
 //
 //   * FailureDetector — fail-stop is *detected*, not announced by fiat.
 //     Every up node heartbeats once per scheduling window; a node that
-//     misses `suspect_after_missed` consecutive beats is suspected, and at
-//     `confirm_after_missed` it is confirmed dead.  The underlying
+//     misses kSuspectAfterMissed consecutive beats is suspected, and at
+//     kConfirmAfterMissed it is confirmed dead.  The underlying
 //     FailureInjector still decides ground truth; the detector only ever
 //     sees (possibly injector-suppressed) heartbeats.
 //
@@ -73,23 +73,20 @@
 
 namespace ckpt::cluster {
 
-struct DetectorOptions {
-  /// Expected heartbeat cadence (the fleet's scheduling window).
-  SimTime heartbeat_interval = 250 * kMillisecond;
-  /// Consecutive missed beats before a node is suspected.
-  std::uint32_t suspect_after_missed = 2;
-  /// Consecutive missed beats before a node is confirmed dead.
-  std::uint32_t confirm_after_missed = 4;
-};
-
 /// Heartbeat-based failure detector.  Knows nothing about ground truth:
 /// state is a pure function of the beats it was (not) shown.
 class FailureDetector {
  public:
   enum class NodeState : std::uint8_t { kAlive, kSuspected, kConfirmedDead };
 
-  /// Pre: nodes >= 0; node ids passed below must be in [0, nodes).
-  FailureDetector(int nodes, DetectorOptions options);
+  /// Consecutive missed beats before a node is suspected.
+  static constexpr std::uint32_t kSuspectAfterMissed = 2;
+  /// Consecutive missed beats before a node is confirmed dead.
+  static constexpr std::uint32_t kConfirmAfterMissed = 4;
+
+  /// Pre: nodes >= 0; node ids passed below must be in [0, nodes);
+  /// heartbeat_interval (the expected beat cadence) > 0.
+  FailureDetector(int nodes, SimTime heartbeat_interval);
 
   /// A beat arrived; an alive-or-suspected node returns to kAlive.  A
   /// confirmed-dead node stays dead until reset() — confirmation is a
@@ -113,7 +110,7 @@ class FailureDetector {
     NodeState state = NodeState::kAlive;
   };
 
-  DetectorOptions options_;
+  SimTime heartbeat_interval_;
   std::vector<Tracked> nodes_;
   std::vector<int> confirmed_queue_;
   std::uint64_t suspicions_ = 0;
@@ -147,9 +144,7 @@ struct FleetOptions {
   int shards = 8;
   std::uint64_t seed = 1;
   /// Scheduling window: heartbeat cadence, detector tick, commit slot.
-  SimTime window = 250 * kMillisecond;
-  std::uint32_t suspect_after_missed = 2;
-  std::uint32_t confirm_after_missed = 4;
+  static constexpr SimTime window = 250 * kMillisecond;
   /// The one autonomic policy the whole fleet runs under (fleet-wide
   /// IntervalEstimator; interval is quantized to whole windows).
   core::AutonomicPolicy policy;
@@ -158,29 +153,10 @@ struct FleetOptions {
   std::uint64_t guest_steps_max = 6;
   /// Dense-writer guest array size (the checkpointed state).
   std::uint64_t array_bytes = 16 * 1024;
-  /// Geometry of each shard's log-structured journal: every commit appends
-  /// to it (group commit) and the migrator publishes it to the shard store.
-  std::uint64_t journal_segment_bytes = 256 * 1024;
-  std::uint32_t journal_segments = 24;
-  /// Background migrator cadence, in windows (per shard, staggered).
-  std::uint32_t migrate_every = 4;
-  /// Scrub cadence, in windows (per shard, staggered; 0 = only after a
-  /// storage-home retarget).
-  std::uint32_t scrub_every = 16;
-  /// Prune a slot's chain every N commits (bounds chains and, via journal
-  /// erase records, log occupancy; keeps N-deep older-surviving fallback).
-  std::uint32_t prune_every = 4;
   /// Worker-pool width for the guest phase only (0 or 1 = the caller's
   /// thread).  Shard commits always run on the caller: a fleet image is
   /// tens of pages, too small for a fan-out to pay.
   std::uint32_t workers = 0;
-  /// Per-slot flight-recorder ring capacity: the crash-surviving black box
-  /// persisted through the shard journal around every commit, recovered and
-  /// rendered as a post-mortem when the node is confirmed dead.
-  std::uint32_t flight_capacity = obs::FlightRecorder::kDefaultCapacity;
-  /// Retry policy for the shard stores.
-  storage::RetryPolicy store_retry;
-  sim::CostModel costs;
   /// Observability sink (null = disabled): fleet.* metrics and spans, plus
   /// checkpoint/recovery spans from the RecoveryManager.  The trace clock
   /// is bound to cluster time.
@@ -195,7 +171,8 @@ struct FleetTortureOptions {
   std::vector<FailureModel> failure_models;
   /// Per-node per-window probability of a heartbeat-suppression burst.
   double heartbeat_drop_per_window = 0.0;
-  /// Burst length in beats (>= confirm_after_missed forces a false confirm).
+  /// Burst length in beats (>= FailureDetector::kConfirmAfterMissed forces a
+  /// false confirm).
   std::uint32_t heartbeat_drop_beats = 0;
   /// Per-window probability of one storage fault (random shard, random
   /// replica; rotates reject / corrupt-newest / one-window outage).

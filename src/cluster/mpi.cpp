@@ -59,7 +59,6 @@ std::uint64_t MpiFabric::create(int nranks, const FabricOptions& options) {
   fabric->options_ = options;
   MessageLogOptions log_options;
   log_options.log_payloads = options.log_payloads;
-  log_options.costs = options.costs;
   fabric->log_ = MessageLog(log_options);
   const std::uint64_t id = next_fabric_id();
   fabric_registry()[id] = std::move(fabric);
@@ -123,7 +122,6 @@ std::optional<MpiFabric::Message> MpiFabric::try_recv(int dst, SimTime now) {
       ++sequence_violations_;
     }
     frontier = message.seq;
-    ++total_delivered_;
     return message;
   }
   return std::nullopt;

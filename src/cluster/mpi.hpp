@@ -65,7 +65,6 @@ class MpiFabric {
     /// Retain payloads in the log (replay-capable).  false = metadata-only:
     /// dependency tracking for domino *detection* without replay ability.
     bool log_payloads = true;
-    sim::CostModel costs;
   };
 
   /// Create a fabric and register it globally; returns its id.
@@ -145,7 +144,6 @@ class MpiFabric {
   [[nodiscard]] const MessageLog& log() const { return log_; }
   [[nodiscard]] std::uint64_t duplicates_dropped() const { return duplicates_dropped_; }
   [[nodiscard]] std::uint64_t sequence_violations() const { return sequence_violations_; }
-  [[nodiscard]] std::uint64_t total_delivered() const { return total_delivered_; }
 
  private:
   int nranks_ = 0;
@@ -156,7 +154,6 @@ class MpiFabric {
   std::map<std::pair<int, int>, std::uint64_t> delivered_seq_;  ///< (src,dst) -> last delivered
   MessageLog log_;
   std::uint64_t total_sent_ = 0;
-  std::uint64_t total_delivered_ = 0;
   std::uint64_t duplicates_dropped_ = 0;
   std::uint64_t sequence_violations_ = 0;
 };

@@ -10,6 +10,9 @@
 namespace ckpt::cluster {
 namespace {
 
+/// Charge model for log appends.
+constexpr sim::CostModel kCosts{};
+
 template <typename Sink>
 void encode_envelope(Sink& s, const LoggedMessage& m, std::uint64_t crc) {
   s.template put<std::int32_t>(m.src);
@@ -63,7 +66,7 @@ SimTime MessageLog::record(LoggedMessage message) {
   ++total_recorded_;
   // Pessimistic logging: the copy into the log plus the CRC pass happen
   // before the message leaves the sender.
-  return options_.costs.mem_copy_cost(bytes) + options_.costs.hash_cost(bytes);
+  return kCosts.mem_copy_cost(bytes) + kCosts.hash_cost(bytes);
 }
 
 bool MessageLog::covers(int src, int dst, std::uint64_t from_seq, std::uint64_t to_seq,

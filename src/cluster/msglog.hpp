@@ -82,10 +82,6 @@ struct MessageLogOptions {
   /// the domino cascade, never enough to replay (models uncoordinated
   /// checkpointing without message logging).
   bool log_payloads = true;
-  /// Append charge model: each record() costs mem_copy + CRC hashing of the
-  /// envelope, returned to the caller to charge through the sim clock
-  /// (pessimistic logging is synchronous with the send).
-  sim::CostModel costs;
 };
 
 /// The sender-based log: per-(src,dst) channel deques in sequence order.
@@ -101,7 +97,9 @@ class MessageLog {
   /// Append one entry (payload dropped in metadata-only mode), stamping its
   /// CRC.  Pre: entries per channel arrive in ascending `seq` order (the
   /// fabric assigns them).  Returns the sim-time append charge the sender
-  /// must pay before the message becomes visible.
+  /// must pay before the message becomes visible: a memory copy plus a CRC
+  /// pass over the envelope under the default sim::CostModel (pessimistic
+  /// logging is synchronous with the send).
   SimTime record(LoggedMessage message);
 
   /// Is every message on (src,dst) with sequence in [from_seq, to_seq]
@@ -145,7 +143,6 @@ class MessageLog {
   [[nodiscard]] std::uint64_t total_recorded() const { return total_recorded_; }
   [[nodiscard]] std::uint64_t total_trimmed() const { return total_trimmed_; }
   [[nodiscard]] std::uint64_t crc_failures() const { return crc_failures_; }
-  [[nodiscard]] bool payloads_logged() const { return options_.log_payloads; }
 
  private:
   MessageLogOptions options_;

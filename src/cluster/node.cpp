@@ -6,10 +6,10 @@ namespace ckpt::cluster {
 
 Node::Node(int id, const NodeConfig& config)
     : id_(id), hostname_("node" + std::to_string(id)), config_(config) {
-  kernel_ = std::make_unique<sim::SimKernel>(config.ncpus, config.costs,
+  kernel_ = std::make_unique<sim::SimKernel>(1, sim::CostModel{},
                                              config.seed + static_cast<std::uint64_t>(id));
   kernel_->hostname = hostname_;
-  disk_ = std::make_unique<storage::LocalDiskBackend>(config.costs);
+  disk_ = std::make_unique<storage::LocalDiskBackend>(sim::CostModel{});
 }
 
 void Node::fail() {
@@ -23,8 +23,7 @@ void Node::fail() {
 void Node::repair(SimTime now) {
   up_ = true;
   kernel_ = std::make_unique<sim::SimKernel>(
-      config_.ncpus, config_.costs,
-      config_.seed + static_cast<std::uint64_t>(id_) + 0x1000);
+      1, sim::CostModel{}, config_.seed + static_cast<std::uint64_t>(id_) + 0x1000);
   kernel_->hostname = hostname_;
   kernel_->idle_until(now);
   disk_->recover_node();
@@ -35,7 +34,7 @@ Cluster::Cluster(int node_count, const NodeConfig& config) {
   for (int i = 0; i < node_count; ++i) {
     nodes_.push_back(std::make_unique<Node>(i, config));
   }
-  remote_ = std::make_unique<storage::RemoteBackend>(config.costs);
+  remote_ = std::make_unique<storage::RemoteBackend>(sim::CostModel{});
 }
 
 std::vector<int> Cluster::up_nodes() const {

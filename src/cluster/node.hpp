@@ -18,9 +18,9 @@
 
 namespace ckpt::cluster {
 
+/// Every node runs a one-CPU kernel and a disk under the default
+/// sim::CostModel; the seed is the only per-cluster choice.
 struct NodeConfig {
-  int ncpus = 1;
-  sim::CostModel costs{};
   std::uint64_t seed = 42;
 };
 

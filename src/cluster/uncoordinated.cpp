@@ -6,6 +6,13 @@
 #include "util/log.hpp"
 
 namespace ckpt::cluster {
+namespace {
+
+/// Flight-record key for rank r's sender log is kJournalKeyBase + r; the
+/// base keeps these keys disjoint from other flight-record users.
+constexpr std::uint64_t kJournalKeyBase = 0x4D4C4F47'00000000ULL;  // "MLOG"
+
+}  // namespace
 
 UncoordinatedMpi::UncoordinatedMpi(Cluster& cluster, MpiJob& job,
                                    std::vector<core::CheckpointEngine*> engines_by_node,
@@ -23,11 +30,8 @@ UncoordinatedMpi::UncoordinatedMpi(Cluster& cluster, MpiJob& job,
     // Stagger: rank r's first commit lands at interval*(r+1)/nranks, so
     // per-epoch commit load is flat instead of a thundering herd — the
     // same discipline as the fleet scheduler's seed-staggered shards.
-    const SimTime first = options_.stagger
-                              ? cluster_.now() + (interval * static_cast<SimTime>(r + 1)) /
-                                                     static_cast<SimTime>(nranks)
-                              : cluster_.now() + interval;
-    next_due_.push_back(first);
+    next_due_.push_back(cluster_.now() + (interval * static_cast<SimTime>(r + 1)) /
+                                             static_cast<SimTime>(nranks));
   }
 }
 
@@ -89,9 +93,9 @@ bool UncoordinatedMpi::checkpoint_rank(int rank) {
   cut.channels = channels;
   cuts_[rank].push_back(cut);
 
-  if (options_.trim_logs) {
-    stats_.messages_trimmed += fabric().log().trim_delivered(rank, channels.delivered);
-  }
+  // Entries this checkpoint made unnecessary go: the log holds roughly one
+  // interval of traffic.
+  stats_.messages_trimmed += fabric().log().trim_delivered(rank, channels.delivered);
   if (options_.log_journal != nullptr && fabric().sender_logging()) {
     persist_sender_log(rank, kernel);
   }
@@ -118,7 +122,7 @@ bool UncoordinatedMpi::checkpoint_rank(int rank) {
 void UncoordinatedMpi::persist_sender_log(int rank, sim::SimKernel& kernel) {
   const std::vector<std::byte> blob = fabric().log().encode_sender(rank);
   const bool ok = options_.log_journal->append_flight_record(
-      options_.journal_key_base + static_cast<std::uint64_t>(rank), blob,
+      kJournalKeyBase + static_cast<std::uint64_t>(rank), blob,
       [&](SimTime t) { kernel.charge_time(t); });
   if (!ok) {
     util::logf(util::LogLevel::kWarn, "mpi",
@@ -168,7 +172,7 @@ UncoordinatedMpi::RecoverResult UncoordinatedMpi::recover_failed_node(int failed
     bool restored = false;
     if (options_.log_journal != nullptr) {
       const auto blob = options_.log_journal->flight_record_of(
-          options_.journal_key_base + static_cast<std::uint64_t>(r));
+          kJournalKeyBase + static_cast<std::uint64_t>(r));
       if (blob.has_value()) {
         try {
           fabric().log().restore_sender(r, *blob);

@@ -37,19 +37,10 @@ struct UncoordinatedOptions {
   core::AutonomicPolicy policy;
   /// Cluster stepping granularity inside run_until.
   SimTime epoch = 10 * kMillisecond;
-  /// Spread first checkpoints uniformly over one interval (rank r due at
-  /// interval*(r+1)/nranks) instead of all ranks committing together.
-  bool stagger = true;
-  /// Trim sender-log entries a receiver's newest checkpoint made
-  /// unnecessary (bounds log growth to roughly one interval of traffic).
-  bool trim_logs = true;
   /// When set, each rank's sender log is persisted here (flight-record
   /// path, newest-per-key) at every checkpoint — surviving the rank's
   /// death and keeping even concurrent-node failures at rollback depth 1.
   storage::LogStructuredBackend* log_journal = nullptr;
-  /// Flight-record key for rank r is journal_key_base + r; keep bases
-  /// disjoint from other flight-record users of the same journal.
-  std::uint64_t journal_key_base = 0x4D4C4F47'00000000ULL;  // "MLOG"
   /// Spans + metrics sink (null = silent, zero overhead).
   obs::Observer* observer = nullptr;
 };

@@ -7,6 +7,12 @@
 #include "util/log.hpp"
 
 namespace ckpt::core {
+namespace {
+
+/// Upper clamp for the adapted interval.
+constexpr SimTime kMaxInterval = 3600 * kSecond;
+
+}  // namespace
 
 SimTime young_interval(SimTime checkpoint_cost, SimTime mtbf) {
   const double c = static_cast<double>(checkpoint_cost);
@@ -43,7 +49,7 @@ void IntervalEstimator::observe_failure(SimTime now) {
 void IntervalEstimator::update() {
   if (!policy_.adapt_interval || cost_ == 0) return;
   const SimTime young = young_interval(cost_, mtbf_);
-  interval_ = std::clamp(young, policy_.min_interval, policy_.max_interval);
+  interval_ = std::clamp(young, policy_.min_interval, kMaxInterval);
 }
 
 AutonomicManager::AutonomicManager(sim::SimKernel& kernel, CheckpointEngine& engine,

@@ -26,9 +26,8 @@ struct AutonomicPolicy {
   bool adapt_interval = true;
   /// Prior MTBF estimate before any failure is seen.
   SimTime initial_mtbf = 3600 * kSecond;
-  /// Clamp for the adapted interval.
+  /// Lower clamp for the adapted interval (the upper clamp is one hour).
   SimTime min_interval = 1 * kSecond;
-  SimTime max_interval = 3600 * kSecond;
   /// Exponential smoothing factor for cost / MTBF estimates.
   double smoothing = 0.3;
 };

@@ -117,7 +117,6 @@ class UserLevelRuntime {
   /// context (library call or signal handler).
   storage::CheckpointImage capture(sim::UserApi& api, const CaptureOptions& options);
 
-  [[nodiscard]] const std::vector<sim::Fd>& shadow_fds() const { return shadow_fds_; }
   [[nodiscard]] bool installed() const { return installed_; }
 
  private:

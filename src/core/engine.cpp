@@ -11,6 +11,11 @@
 namespace ckpt::core {
 namespace {
 
+/// Page payloads per streamed chunk.  Chunking is fixed by this constant
+/// alone — never by worker count — so streamed blobs are byte-identical for
+/// any pool width.
+constexpr std::size_t kStreamChunkPages = 64;
+
 /// Mapped pages of the target's address space (dirty-ratio denominator).
 std::uint64_t mapped_pages(const sim::Process& proc) {
   if (proc.aspace == nullptr) return 0;
@@ -103,13 +108,11 @@ RestartResult restart_from_image(sim::SimKernel& kernel,
     }
   }
 
-  if (options.rebind_ports) {
-    for (std::uint16_t port : image.bound_ports) {
-      if (kernel.bind_port(port, pid)) {
-        proc.bound_ports.push_back(port);
-      } else {
-        result.warnings.push_back("port " + std::to_string(port) + " already bound");
-      }
+  for (std::uint16_t port : image.bound_ports) {
+    if (kernel.bind_port(port, pid)) {
+      proc.bound_ports.push_back(port);
+    } else {
+      result.warnings.push_back("port " + std::to_string(port) + " already bound");
     }
   }
 
@@ -141,9 +144,6 @@ CheckpointEngine::CheckpointEngine(std::string name, storage::StorageBackend* ba
     throw std::invalid_argument(
         "CheckpointEngine: streaming requires kForkAndCopy consistency (the frozen "
         "shadow is the capture source the guest runs ahead of)");
-  }
-  if (options_.stream_chunk_pages == 0) {
-    throw std::invalid_argument("CheckpointEngine: stream_chunk_pages must be >= 1");
   }
   stream_store_ = backend_->stream_target();
   if (stream_store_ == nullptr) {
@@ -368,7 +368,7 @@ CheckpointResult CheckpointEngine::perform_kernel_checkpoint(sim::SimKernel& ker
     kernel.charge_time(kernel.costs().addr_space_switch_ns, sim::ChargeKind::kCompute);
 
     // Partition the plan into chunks.  The split depends only on the plan
-    // and stream_chunk_pages — never on worker count — and the chunk
+    // and kStreamChunkPages — never on worker count — and the chunk
     // concatenation is byte-identical to the classic encode_segment stream:
     // each segment's lead chunk carries its VMA header and page count.
     const std::size_t seg_count = image.segments.size();
@@ -384,7 +384,7 @@ CheckpointResult CheckpointEngine::perform_kernel_checkpoint(sim::SimKernel& ker
       bool lead = true;
       do {
         const std::size_t take =
-            std::min<std::size_t>(options_.stream_chunk_pages, entries - first);
+            std::min<std::size_t>(kStreamChunkPages, entries - first);
         pieces.push_back(StreamPiece{s, first, take, lead});
         lead = false;
         first += take;

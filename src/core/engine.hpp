@@ -82,12 +82,8 @@ struct EngineOptions {
   /// non-dedup ReplicatedStore); the constructor throws for any other.
   /// Kernel-mode engines only (perform_kernel_checkpoint: syscall and
   /// kernel-signal engines); KernelThreadEngine and UserLevelEngine refuse
-  /// it at construction.
+  /// it at construction.  Chunks hold 64 page payloads each.
   bool streaming = false;
-  /// Page payloads per streamed chunk.  Chunking is fixed by this knob
-  /// alone — never by worker count — so streamed blobs are byte-identical
-  /// for any pool width.
-  std::uint32_t stream_chunk_pages = 64;
 };
 
 struct CheckpointResult {
@@ -116,8 +112,6 @@ struct RestartOptions {
   /// warning when taken, unless `require_original_pid`.
   bool restore_original_pid = false;
   bool require_original_pid = false;
-  /// Rebind the ports the process held; conflicts are warnings.
-  bool rebind_ports = true;
   /// When the newest checkpoint is unreadable (corrupt, torn, missing),
   /// fall back to the newest older state that still reconstructs instead
   /// of refusing outright.  Restarting from a corrupt image is never an
@@ -133,7 +127,8 @@ struct RestartResult {
 };
 
 /// Restore an image into `kernel` as a fresh, runnable process — the common
-/// restart path every engine and mechanism shares.
+/// restart path every engine and mechanism shares.  The ports the process
+/// held are rebound; a port already taken is a warning, not a failure.
 RestartResult restart_from_image(sim::SimKernel& kernel,
                                  const storage::CheckpointImage& image,
                                  const RestartOptions& options = {});

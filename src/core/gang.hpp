@@ -32,7 +32,6 @@ class GangScheduler {
   /// Round-robin the jobs: each runs for `slice`, `rounds` times around.
   void rotate(SimTime slice, int rounds);
 
-  [[nodiscard]] std::size_t job_count() const { return jobs_.size(); }
   [[nodiscard]] const std::vector<sim::Pid>& job_pids(std::size_t index) const {
     return jobs_.at(index).pids;
   }

@@ -47,7 +47,6 @@ class HibernationManager {
   bool resume(sim::SimKernel& target);
 
   [[nodiscard]] bool powered_down() const { return powered_down_; }
-  [[nodiscard]] sim::Signal freeze_signal() const { return sim::kSigFreeze; }
 
  private:
   HibernateResult do_suspend(storage::StorageBackend* backend);

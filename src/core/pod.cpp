@@ -107,11 +107,4 @@ RestartResult PodManager::restart_in_pod(sim::SimKernel& kernel,
   return result;
 }
 
-void PodManager::clear_host_bindings(PodId pod_id) {
-  if (Pod* pod = find_pod(pod_id)) {
-    pod->vpid_to_real.clear();
-    pod->vport_to_real.clear();
-  }
-}
-
 }  // namespace ckpt::core

@@ -54,10 +54,6 @@ class PodManager {
   RestartResult restart_in_pod(sim::SimKernel& kernel,
                                const storage::CheckpointImage& image, PodId pod_id);
 
-  /// Re-home a pod's translation tables after the pod's processes have been
-  /// restarted on another machine (ports get fresh real bindings there).
-  void clear_host_bindings(PodId pod_id);
-
   [[nodiscard]] SimTime translation_overhead() const { return translation_ns_; }
 
  private:

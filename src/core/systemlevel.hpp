@@ -106,7 +106,6 @@ class KernelThreadEngine final : public CheckpointEngine {
 
   [[nodiscard]] const std::string& device_path() const { return device_path_; }
   [[nodiscard]] const std::string& proc_path() const { return proc_path_; }
-  [[nodiscard]] sim::Pid thread_pid() const { return thread_pid_; }
 
   /// ioctl command codes for the device interface.
   static constexpr std::uint64_t kIoctlCheckpoint = 1;

@@ -6,6 +6,12 @@
 #include "util/log.hpp"
 
 namespace ckpt::core {
+namespace {
+
+/// Signal used for on-demand initiation (signal-handler/preload modes).
+constexpr sim::Signal kTriggerSignal = sim::kSigUsr1;
+
+}  // namespace
 
 UserLevelEngine::UserLevelEngine(std::string name, storage::StorageBackend* backend,
                                  EngineOptions options, UserConfig config)
@@ -51,9 +57,9 @@ bool UserLevelEngine::attach(sim::SimKernel& kernel, sim::Pid pid) {
   };
 
   if (config_.mode == Mode::kSignalHandler || config_.mode == Mode::kPreload) {
-    proc->signals.disposition[config_.trigger_signal] = sim::SignalDisposition::kHandler;
-    proc->library_handlers[config_.trigger_signal] = [this](sim::SimKernel& k,
-                                                            sim::Process& p, sim::Signal) {
+    proc->signals.disposition[kTriggerSignal] = sim::SignalDisposition::kHandler;
+    proc->library_handlers[kTriggerSignal] = [this](sim::SimKernel& k, sim::Process& p,
+                                                    sim::Signal) {
       SimTime initiated_at = k.now();
       std::uint64_t ticket = 0;
       auto it = pending_.find(p.pid);
@@ -86,7 +92,7 @@ void UserLevelEngine::detach(sim::SimKernel& kernel, sim::Pid pid) {
     if (sim::Process* proc = kernel.find_process(pid)) {
       it->second->uninstall(*proc);
       proc->library_calls.erase("ckpt_now");
-      proc->library_handlers.erase(config_.trigger_signal);
+      proc->library_handlers.erase(kTriggerSignal);
       proc->library_handlers.erase(sim::kSigAlrm);
     }
     runtimes_.erase(it);
@@ -103,7 +109,7 @@ std::uint64_t UserLevelEngine::request_checkpoint_async(sim::SimKernel& kernel,
   const std::uint64_t ticket = new_ticket();
   record_pending(ticket);
   pending_[pid].push_back(PendingRequest{ticket, kernel.now()});
-  kernel.send_signal(pid, config_.trigger_signal);
+  kernel.send_signal(pid, kTriggerSignal);
   return ticket;
 }
 
@@ -117,7 +123,7 @@ void UserLevelEngine::perform_user_checkpoint(sim::SimKernel& kernel, sim::Proce
   // §3: signal handlers may not call non-reentrant functions.  If the
   // checkpoint signal interrupted malloc/free, the handler's own heap use
   // deadlocks the process.
-  if (config_.model_reentrancy_hazard && proc.in_nonreentrant_call) {
+  if (proc.in_nonreentrant_call) {
     ++deadlocks_;
     kernel.block_process(proc);  // hung on the heap lock, forever
     result.error = name_ + ": handler fired inside non-reentrant libc call; deadlock";

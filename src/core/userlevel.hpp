@@ -39,15 +39,13 @@ class UserLevelEngine final : public CheckpointEngine {
     kPreload,
   };
 
+  /// On-demand initiation (signal-handler/preload modes) sends SIGUSR1, and
+  /// a handler that fires inside malloc/free deadlocks the process (the
+  /// non-reentrant-libc hazard).
   struct UserConfig {
     Mode mode = Mode::kSignalHandler;
-    /// Signal used for on-demand initiation (signal-handler/preload modes).
-    sim::Signal trigger_signal = sim::kSigUsr1;
     /// Non-zero: install a periodic SIGALRM checkpoint timer at attach.
     SimTime periodic_interval = 0;
-    /// Model the non-reentrant-libc deadlock when a handler fires inside
-    /// malloc/free.
-    bool model_reentrancy_hazard = true;
   };
 
   UserLevelEngine(std::string name, storage::StorageBackend* backend,
@@ -69,8 +67,6 @@ class UserLevelEngine final : public CheckpointEngine {
 
   /// Count of checkpoints that deadlocked on the reentrancy hazard.
   [[nodiscard]] std::uint64_t deadlocks() const { return deadlocks_; }
-
-  [[nodiscard]] const UserConfig& user_config() const { return config_; }
 
  private:
   /// The body of ckpt_now() / the signal handler: runs in the process's

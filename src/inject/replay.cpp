@@ -25,6 +25,33 @@ namespace {
 
 constexpr sim::VAddr kBase = 0x10000;
 
+// --- journal_crash_replay geometry ----------------------------------------
+constexpr std::uint64_t kReplaySeed = 0x5eed;
+/// Commits in the recorded sequence (the acceptance floor is 30).
+constexpr std::uint64_t kCommits = 32;
+/// Rng-chosen single-byte corruption cases (the acceptance floor is 200).
+constexpr std::uint64_t kFuzzOffsets = 220;
+/// Log geometry for the recorded sequence.  Small segments force many
+/// seal/open rollovers so segment-boundary crash points are well covered;
+/// the ring still holds the whole sequence (migration stays off while
+/// recording so the ledger's logical offsets are stable).
+constexpr std::uint64_t kSegmentBytes = 48 * 1024;
+constexpr std::uint32_t kSegments = 24;
+/// Data pages per recorded image.
+constexpr std::uint64_t kPagesPerImage = 3;
+/// Run the recovered journal's migrator and re-verify through the home
+/// store on every Nth case.
+constexpr std::uint64_t kMigrateEvery = 8;
+
+// --- mpi_uncoordinated scenario -------------------------------------------
+constexpr int kRanks = 8;
+constexpr int kNodes = 4;
+/// Fixed per-rank checkpoint interval (adaptation off for determinism).
+constexpr SimTime kInterval = 20 * kMillisecond;
+/// Per-rank guest state and per-neighbour exchange size.
+constexpr std::uint64_t kRankArrayBytes = 32 * 1024;
+constexpr std::uint64_t kHaloBytes = 512;
+
 /// One recorded image: mostly rng pages, with an occasional repeated page so
 /// the per-commit chunk table has something to dedup (groups then contain
 /// fewer kChunk records than pages — the realistic shape).
@@ -79,16 +106,15 @@ std::string CrashReplayReport::summary() const {
 
 CrashReplayReport JournalCrashReplay::run() {
   CrashReplayReport report;
-  util::Rng rng(options_.seed);
+  util::Rng rng(kReplaySeed);
 
   const sim::CostModel costs{};
   storage::JournalOptions journal_options;
-  journal_options.segment_bytes = options_.segment_bytes;
-  journal_options.segments = options_.segments;
+  journal_options.segment_bytes = kSegmentBytes;
+  journal_options.segments = kSegments;
   // Migration must stay off while recording: the append ledger's logical
   // offsets are the coordinate system every crash point below is cut in.
   journal_options.migrate_on_demand = false;
-  journal_options.costs = costs;
 
   // --- 1. Record the commit sequence ---------------------------------------
   storage::LocalDiskBackend record_home(costs);
@@ -99,7 +125,7 @@ CrashReplayReport JournalCrashReplay::run() {
     std::uint64_t commit_end = 0;      ///< log offset one past the kCommit record
   };
   std::vector<Recorded> commits;
-  commits.reserve(options_.commits);
+  commits.reserve(kCommits);
   // Flight records bracket every commit, the way the fleet's black box
   // persists an open "commit" span before the group and a closed one after.
   struct FlightAppend {
@@ -113,26 +139,23 @@ CrashReplayReport JournalCrashReplay::run() {
   const auto append_flight = [&](std::uint64_t key, const obs::FlightRecorder& fr) {
     std::vector<std::byte> payload = fr.serialize();
     if (!journal.append_flight_record(key, payload, storage::ChargeFn{})) {
-      throw std::invalid_argument(
-          "JournalCrashReplay: log geometry cannot hold the flight records");
+      throw std::logic_error("JournalCrashReplay: log geometry cannot hold the flight records");
     }
     const storage::JournalRecordInfo& record = journal.appended_records().back();
     flights.push_back({key, std::move(payload), record.log_offset + record.bytes});
     ++report.flight_appends;
   };
-  for (std::uint64_t i = 0; i < options_.commits; ++i) {
+  for (std::uint64_t i = 0; i < kCommits; ++i) {
     const std::uint64_t key = i % kFlightKeys;
     obs::FlightRecorder& recorder =
         recorders.try_emplace(key, obs::FlightRecorder(8)).first->second;
     recorder.span_begin(i * 1000, "commit", i);
     append_flight(key, recorder);
-    const storage::CheckpointImage image =
-        make_image(rng, i, options_.pages_per_image);
+    const storage::CheckpointImage image = make_image(rng, i, kPagesPerImage);
     const storage::ImageId id = journal.store(image, storage::ChargeFn{});
     if (id == storage::kBadImageId) {
-      throw std::invalid_argument(
-          "JournalCrashReplay: log geometry cannot hold the recorded sequence "
-          "(raise segments or segment_bytes)");
+      throw std::logic_error(
+          "JournalCrashReplay: log geometry cannot hold the recorded sequence");
     }
     // store() always appends the group's kCommit record last.
     const storage::JournalRecordInfo& commit_record = journal.appended_records().back();
@@ -226,8 +249,7 @@ CrashReplayReport JournalCrashReplay::run() {
     }
     check_flights("after recovery");
 
-    if (case_ok && options_.migrate_every != 0 &&
-        case_index % options_.migrate_every == 0) {
+    if (case_ok && case_index % kMigrateEvery == 0) {
       const storage::LogStructuredBackend::MigrateReport drained =
           replayed.migrate(storage::ChargeFn{});
       if (!drained.complete || drained.images_drained != expected_ids.size()) {
@@ -292,7 +314,7 @@ CrashReplayReport JournalCrashReplay::run() {
   }
 
   // --- 3. Flip one byte at fuzzed intra-record offsets ----------------------
-  for (std::uint64_t f = 0; f < options_.fuzz_offsets; ++f) {
+  for (std::uint64_t f = 0; f < kFuzzOffsets; ++f) {
     const std::uint64_t at = rng.next_below(report.log_bytes_recorded);
     const auto next = std::upper_bound(
         ledger.begin(), ledger.end(), at,
@@ -360,7 +382,7 @@ MpiReplayReport MpiCrashReplay::run() {
   for (std::uint64_t k = 0; k < options_.crash_points; ++k) {
     // Fresh deterministic scenario per case: the crash point (which node,
     // after how much progress) is the only thing that varies with k.
-    cluster::Cluster cluster(options_.nodes, cluster::NodeConfig{});
+    cluster::Cluster cluster(kNodes, cluster::NodeConfig{});
     storage::ReplicatedOptions store_options;
     store_options.pool = pinned.get();
     storage::ReplicatedStore store({&cluster.remote_storage()}, store_options);
@@ -368,17 +390,16 @@ MpiReplayReport MpiCrashReplay::run() {
     cluster::MpiFabric::FabricOptions fabric_options;
     fabric_options.latency = cluster.node(0).kernel().costs().net_latency_ns;
     fabric_options.sender_logging = true;
-    fabric_options.costs = cluster.node(0).kernel().costs();
 
     cluster::MpiRankGuest::Config config;
-    config.array_bytes = options_.array_bytes;
-    config.halo_bytes = options_.halo_bytes;
-    cluster::MpiJob job(cluster, options_.nranks, config, fabric_options);
+    config.array_bytes = kRankArrayBytes;
+    config.halo_bytes = kHaloBytes;
+    cluster::MpiJob job(cluster, kRanks, config, fabric_options);
     job.launch();
 
     std::vector<std::unique_ptr<core::CheckpointEngine>> engines;
     std::vector<core::CheckpointEngine*> raw_engines;
-    for (int n = 0; n < options_.nodes; ++n) {
+    for (int n = 0; n < kNodes; ++n) {
       sim::SimKernel& kernel = cluster.node(n).kernel();
       sim::KernelModule& module = kernel.load_module("blcr");
       engines.push_back(std::make_unique<core::KernelThreadEngine>(
@@ -389,7 +410,7 @@ MpiReplayReport MpiCrashReplay::run() {
 
     std::unique_ptr<storage::LogStructuredBackend> journal;
     cluster::UncoordinatedOptions manager_options;
-    manager_options.policy.initial_interval = options_.interval;
+    manager_options.policy.initial_interval = kInterval;
     manager_options.policy.adapt_interval = false;
     manager_options.epoch = 2 * kMillisecond;
     if (options_.journal_logs) {
@@ -400,12 +421,11 @@ MpiReplayReport MpiCrashReplay::run() {
 
     // Run to the case-specific crash point, making sure every rank holds at
     // least one checkpoint so the recovery line has images to anchor on.
-    manager.run_until(options_.interval * static_cast<SimTime>(2 + k % 3));
-    for (int extra = 0; extra < 8 && !all_ranks_have_cuts(manager, options_.nranks);
-         ++extra) {
-      manager.run_until(cluster.now() + options_.interval);
+    manager.run_until(kInterval * static_cast<SimTime>(2 + k % 3));
+    for (int extra = 0; extra < 8 && !all_ranks_have_cuts(manager, kRanks); ++extra) {
+      manager.run_until(cluster.now() + kInterval);
     }
-    if (!all_ranks_have_cuts(manager, options_.nranks)) {
+    if (!all_ranks_have_cuts(manager, kRanks)) {
       fail_case(k, "some rank never checkpointed before the crash point");
       continue;
     }
@@ -431,14 +451,14 @@ MpiReplayReport MpiCrashReplay::run() {
         return true;
       };
       for (int chunk = 0; chunk < 16 && !past_cuts(10); ++chunk) {
-        cluster.run_until(cluster.now() + 2 * options_.interval, 2 * kMillisecond);
+        cluster.run_until(cluster.now() + 2 * kInterval, 2 * kMillisecond);
       }
     }
 
-    const int victim = static_cast<int>(k) % options_.nodes;
+    const int victim = static_cast<int>(k) % kNodes;
     cluster.fail_node(victim);
     if (options_.double_failure) {
-      cluster.fail_node((victim + 1) % options_.nodes);
+      cluster.fail_node((victim + 1) % kNodes);
     }
     const std::vector<int> up = cluster.up_nodes();
     if (up.empty()) {
@@ -470,7 +490,7 @@ MpiReplayReport MpiCrashReplay::run() {
     // provably absorbed) takes proportionally longer the more ranks were
     // rolled back.
     const SimTime window =
-        static_cast<SimTime>(4 + 2 * recovered.line.width) * options_.interval;
+        static_cast<SimTime>(4 + 2 * recovered.line.width) * kInterval;
     cluster.run_until(cluster.now() + window, 2 * kMillisecond);
     const std::uint64_t progress = job.min_iteration(cluster);
     if (progress == 0) {
@@ -488,7 +508,7 @@ MpiReplayReport MpiCrashReplay::run() {
     digest.put<std::uint32_t>(recovered.line.depth);
     digest.put<std::uint32_t>(recovered.line.width);
     digest.put(recovered.replayed_messages);
-    for (int r = 0; r < options_.nranks; ++r) {
+    for (int r = 0; r < kRanks; ++r) {
       const cluster::MpiJob::Placement placement =
           job.placements()[static_cast<std::size_t>(r)];
       sim::Process* proc =

@@ -29,7 +29,8 @@
 // a fresh home store and re-verifies the payloads through the migrated
 // path, so recovery-then-migrate is covered as well as recovery-then-load.
 //
-// The report is a pure function of CrashReplayOptions.  Every step runs on
+// The report is a pure function of the harness's fixed geometry (32 commits,
+// 220 fuzzed offsets, a 24 x 48 KiB ring).  Every step runs on
 // the caller's thread: the journal has no worker pool, and the harness's
 // home stores are plain LocalDiskBackends.
 #pragma once
@@ -41,25 +42,6 @@
 #include "storage/journal.hpp"
 
 namespace ckpt::inject {
-
-struct CrashReplayOptions {
-  std::uint64_t seed = 0x5eed;
-  /// Commits in the recorded sequence (the acceptance floor is 30).
-  std::uint64_t commits = 32;
-  /// Rng-chosen single-byte corruption cases (the acceptance floor is 200).
-  std::uint64_t fuzz_offsets = 220;
-  /// Log geometry for the recorded sequence.  Small segments force many
-  /// seal/open rollovers so segment-boundary crash points are well covered;
-  /// the ring must still hold the whole sequence (migration stays off while
-  /// recording so the ledger's logical offsets are stable).
-  std::uint64_t segment_bytes = 48 * 1024;
-  std::uint32_t segments = 24;
-  /// Data pages per recorded image (payload size knob).
-  std::uint64_t pages_per_image = 3;
-  /// Run the recovered journal's migrator and re-verify through the home
-  /// store on every Nth case (0 disables the migration pass).
-  std::uint64_t migrate_every = 8;
-};
 
 struct CrashReplayReport {
   std::uint64_t commits_recorded = 0;
@@ -88,15 +70,10 @@ struct CrashReplayReport {
 
 class JournalCrashReplay {
  public:
-  explicit JournalCrashReplay(CrashReplayOptions options) : options_(options) {}
-
-  /// Record, then replay every crash point.  Deterministic in
-  /// options_.seed.  Throws std::invalid_argument when the geometry cannot
-  /// hold the recovered sequence.
+  /// Record, then replay every crash point.  Deterministic: the seed is
+  /// fixed.  Throws std::logic_error if the ring cannot hold the recorded
+  /// sequence (a journal defect, never an input).
   CrashReplayReport run();
-
- private:
-  CrashReplayOptions options_;
 };
 
 // ---------------------------------------------------------------------------
@@ -114,11 +91,10 @@ class JournalCrashReplay {
 // into the outcome digest.  The determinism tests run workers=1 vs
 // workers=8 and require operator== on the reports.
 
+/// Every case runs 8 ranks on 4 nodes, each rank checkpointing every 20 ms
+/// (adaptation off) with a 32 KiB array and 512-byte halos.
 struct MpiReplayOptions {
-  std::uint64_t seed = 0x5eed;
-  int nranks = 8;
-  int nodes = 4;
-  /// Crash cases; case k kills node k % nodes after k-dependent progress.
+  /// Crash cases; case k kills node k % 4 after k-dependent progress.
   std::uint64_t crash_points = 8;
   /// ReplicatedStore pool width for the engines' store: 0 commits on the
   /// caller's thread, N gives the store a private N-worker pool.  The
@@ -129,10 +105,6 @@ struct MpiReplayOptions {
   bool journal_logs = false;
   /// Kill two nodes at once (exercises domino vs journal-restored logs).
   bool double_failure = false;
-  /// Fixed per-rank checkpoint interval (adaptation off for determinism).
-  SimTime interval = 20 * kMillisecond;
-  std::uint64_t array_bytes = 32 * 1024;
-  std::uint64_t halo_bytes = 512;
 };
 
 struct MpiReplayReport {
@@ -166,7 +138,7 @@ class MpiCrashReplay {
  public:
   explicit MpiCrashReplay(MpiReplayOptions options) : options_(options) {}
 
-  /// Run every crash case.  Deterministic in options_.seed and invariant in
+  /// Run every crash case.  Deterministic, and invariant in
   /// options_.workers.
   MpiReplayReport run();
 

@@ -20,6 +20,10 @@ namespace ckpt::inject {
 
 namespace {
 
+/// Guest steps per run window, drawn uniformly from [min, max].
+constexpr std::uint64_t kMinSteps = 4;
+constexpr std::uint64_t kMaxSteps = 24;
+
 template <typename... Args>
 std::string cat(Args&&... args) {
   std::ostringstream out;
@@ -332,8 +336,7 @@ TortureReport TortureHarness::run(const TortureTarget& target) {
     const Fault fault = plan.next();
     ++report.faults[fault.kind];
 
-    const std::uint64_t span = options_.max_steps - options_.min_steps + 1;
-    const std::uint64_t steps = options_.min_steps + rng.next_below(span);
+    const std::uint64_t steps = kMinSteps + rng.next_below(kMaxSteps - kMinSteps + 1);
 
     // In replicated mode every storage fault lands on one rng-chosen
     // replica; the others stay healthy, which is what the self-healing

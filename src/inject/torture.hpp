@@ -50,9 +50,6 @@ struct TortureOptions {
   std::uint64_t seed = 1;
   /// Soak cycles per engine (each cycle = run, fault, crash, restart).
   std::uint64_t cycles = 100;
-  /// Guest steps per run window, drawn uniformly from [min, max].
-  std::uint64_t min_steps = 4;
-  std::uint64_t max_steps = 24;
   /// Fault vocabulary; empty selects FaultPlan::default_mix().
   std::vector<FaultPlan::Weighted> fault_mix;
   /// Guest working-set size (bytes) — keeps image sizes bounded.

@@ -47,7 +47,6 @@ class Mechanism {
   [[nodiscard]] virtual PaperRow paper_row() const = 0;
   [[nodiscard]] virtual bool is_kernel_module() const = 0;
   [[nodiscard]] virtual bool supports_multithreaded() const { return false; }
-  [[nodiscard]] virtual bool supports_incremental() const { return false; }
   [[nodiscard]] virtual std::vector<storage::StorageLocality> storage_localities()
       const = 0;
 

@@ -129,12 +129,4 @@ ProbedRow probe_mechanism(const CatalogEntry& entry) {
   return row;
 }
 
-std::vector<ProbedRow> probe_all() {
-  std::vector<ProbedRow> rows;
-  for (const CatalogEntry& entry : mechanism_catalog()) {
-    rows.push_back(probe_mechanism(entry));
-  }
-  return rows;
-}
-
 }  // namespace ckpt::mechanisms

@@ -40,9 +40,6 @@ struct ProbedRow {
 /// Probe one catalog entry in a fresh kernel.
 ProbedRow probe_mechanism(const CatalogEntry& entry);
 
-/// Probe every mechanism in Table 1 order.
-std::vector<ProbedRow> probe_all();
-
 /// The paper's published row for a mechanism (from the mechanism class).
 PaperRow paper_row_for(const CatalogEntry& entry);
 

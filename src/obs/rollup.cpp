@@ -49,9 +49,9 @@ std::vector<FleetTelemetry::Outlier> FleetTelemetry::outliers(
   if (!fleet_q.has_value() || fleet_q->p50 == 0) return out;
   for (const auto& [id, registry] : nodes_) {
     const HistogramData* h = registry.histogram(histogram);
-    if (h == nullptr || h->count < options_.min_samples) continue;
+    if (h == nullptr || h->count < kMinSamples) continue;
     const std::uint64_t node_p50 = h->percentile(500);
-    if (node_p50 * 1000 > fleet_q->p50 * options_.outlier_factor_permille) {
+    if (node_p50 * 1000 > fleet_q->p50 * kOutlierFactorPermille) {
       out.push_back(Outlier{id, node_p50, fleet_q->p50});
     }
   }
@@ -83,8 +83,7 @@ std::string FleetTelemetry::rollup_json(std::string_view outlier_histogram) cons
     out += ",\n  \"outliers\": {";
     out += "\n    \"histogram\": ";
     json_append_quoted(out, outlier_histogram);
-    out += ",\n    \"factor_permille\": " +
-           std::to_string(options_.outlier_factor_permille);
+    out += ",\n    \"factor_permille\": " + std::to_string(kOutlierFactorPermille);
     out += ",\n    \"nodes\": [";
     bool first_outlier = true;
     for (const Outlier& outlier : outliers(outlier_histogram)) {

@@ -6,8 +6,8 @@
 // of nodes drifting away from it.  FleetTelemetry ingests per-node
 // MetricsRegistry snapshots, merges them (MetricsRegistry::merge) into a
 // fleet-wide registry, estimates quantiles from the shared fixed bucket
-// ladders, and flags outliers whose per-node median drifts past a
-// configurable factor of the fleet median.
+// ladders, and flags outliers whose per-node median drifts past twice the
+// fleet median.
 //
 // Determinism contract: ingestion keys on the node id (std::map order),
 // quantiles are integer bucket-bound estimates (HistogramData::percentile),
@@ -26,18 +26,14 @@
 
 namespace ckpt::obs {
 
-struct RollupOptions {
-  /// A node is an outlier when node_median * 1000 > fleet_median *
-  /// outlier_factor_permille (2000 = 2x the fleet median).
-  std::uint64_t outlier_factor_permille = 2000;
-  /// Histograms with fewer per-node samples than this never flag (a single
-  /// slow commit is noise, a drifting median is a signal).
-  std::uint64_t min_samples = 8;
-};
-
 class FleetTelemetry {
  public:
-  explicit FleetTelemetry(RollupOptions options = {}) : options_(options) {}
+  /// A node is an outlier when node_median * 1000 > fleet_median *
+  /// kOutlierFactorPermille (2000 = 2x the fleet median).
+  static constexpr std::uint64_t kOutlierFactorPermille = 2000;
+  /// Histograms with fewer per-node samples than this never flag (a single
+  /// slow commit is noise, a drifting median is a signal).
+  static constexpr std::uint64_t kMinSamples = 8;
 
   /// Adopt (replace) `node`'s latest metrics snapshot.
   void ingest(int node, const MetricsRegistry& metrics);
@@ -67,7 +63,7 @@ class FleetTelemetry {
 
     friend bool operator==(const Outlier&, const Outlier&) = default;
   };
-  /// Nodes whose median of `histogram` drifts past the configured factor of
+  /// Nodes whose median of `histogram` drifts past kOutlierFactorPermille of
   /// the fleet median, ascending node id.
   [[nodiscard]] std::vector<Outlier> outliers(std::string_view histogram) const;
 
@@ -77,7 +73,6 @@ class FleetTelemetry {
   [[nodiscard]] std::string rollup_json(std::string_view outlier_histogram = {}) const;
 
  private:
-  RollupOptions options_;
   std::map<int, MetricsRegistry> nodes_;
 };
 

@@ -1,6 +1,6 @@
 #include "sim/file.hpp"
 
-#include <algorithm>
+#include <utility>
 
 namespace ckpt::sim {
 
@@ -68,11 +68,6 @@ Fd FdTable::dup(Fd fd) {
   return install(std::move(ofd));  // shares offset, as POSIX dup does
 }
 
-std::size_t FdTable::open_count() const {
-  return static_cast<std::size_t>(
-      std::count_if(slots_.begin(), slots_.end(), [](const auto& p) { return p != nullptr; }));
-}
-
 // ---------------------------------------------------------------------------
 // SimFileSystem
 // ---------------------------------------------------------------------------
@@ -125,20 +120,6 @@ void SimFileSystem::unregister_proc_entry(const std::string& path) {
 ProcEntryHooks* SimFileSystem::proc_entry(const std::string& path) {
   auto it = proc_entries_.find(path);
   return it == proc_entries_.end() ? nullptr : it->second.get();
-}
-
-std::vector<std::string> SimFileSystem::list_proc_entries() const {
-  std::vector<std::string> out;
-  out.reserve(proc_entries_.size());
-  for (const auto& [path, hooks] : proc_entries_) out.push_back(path);
-  return out;
-}
-
-std::vector<std::string> SimFileSystem::list_devices() const {
-  std::vector<std::string> out;
-  out.reserve(devices_.size());
-  for (const auto& [path, hooks] : devices_) out.push_back(path);
-  return out;
 }
 
 }  // namespace ckpt::sim

@@ -103,7 +103,6 @@ class FdTable {
     }
   }
 
-  [[nodiscard]] std::size_t open_count() const;
   void clear() { slots_.clear(); }
 
  private:
@@ -129,9 +128,6 @@ class SimFileSystem {
   void register_proc_entry(const std::string& path, ProcEntryHooks hooks);
   void unregister_proc_entry(const std::string& path);
   [[nodiscard]] ProcEntryHooks* proc_entry(const std::string& path);
-
-  [[nodiscard]] std::vector<std::string> list_proc_entries() const;
-  [[nodiscard]] std::vector<std::string> list_devices() const;
 
  private:
   std::map<std::string, std::shared_ptr<SimFile>> files_;

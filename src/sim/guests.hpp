@@ -95,7 +95,7 @@ class SweepWriterGuest : public GuestProgram {
 /// Maintains a cross-page invariant: every page of its array stores the
 /// same version number, bumped by a multi-page (non-atomic) update each
 /// step.  A checkpoint taken mid-update captures a *torn* state, which
-/// verify_image_consistency() detects — the data-consistency hazard of
+/// InvariantGuest::verify_consistency() detects — the data-consistency hazard of
 /// concurrent kernel-thread checkpointing.
 class InvariantGuest : public GuestProgram {
  public:

@@ -16,6 +16,11 @@ namespace {
 /// guest's C++ frame unwinds back to the scheduler.
 struct TaskTerminated {};
 
+/// Fixed segment sizes of the standard layout; only the heap varies.
+constexpr std::uint64_t kCodePages = 4;
+constexpr std::uint64_t kDataPages = 8;
+constexpr std::uint64_t kStackPages = 4;
+
 }  // namespace
 
 SimKernel::SimKernel(int ncpus, CostModel costs, std::uint64_t seed)
@@ -85,11 +90,11 @@ SimTime SimKernel::min_timeshare_vruntime() const {
 
 void SimKernel::build_standard_layout(Process& proc, const SpawnOptions& options) {
   AddressSpace& as = *proc.aspace;
-  as.map_region(kCodeBase, options.code_pages, kProtRX, VmaKind::kCode, "text");
-  as.map_region(kDataBase, options.data_pages, kProtRW, VmaKind::kData, "data");
+  as.map_region(kCodeBase, kCodePages, kProtRX, VmaKind::kCode, "text");
+  as.map_region(kDataBase, kDataPages, kProtRW, VmaKind::kData, "data");
   as.map_region(kHeapBase, options.heap_pages, kProtRW, VmaKind::kHeap, "heap");
-  const VAddr stack_base = kStackTop - options.stack_pages * kPageSize;
-  as.map_region(stack_base, options.stack_pages, kProtRW, VmaKind::kStack, "stack");
+  const VAddr stack_base = kStackTop - kStackPages * kPageSize;
+  as.map_region(stack_base, kStackPages, kProtRW, VmaKind::kStack, "stack");
   proc.heap_base = kHeapBase;
   proc.brk = kHeapBase + options.heap_pages * kPageSize;
   proc.threads.clear();
@@ -100,12 +105,6 @@ void SimKernel::build_standard_layout(Process& proc, const SpawnOptions& options
     thread.regs.sp = kStackTop - static_cast<std::uint64_t>(t) * 2 * kPageSize;
     proc.threads.push_back(thread);
   }
-  // Adopt the requested scheduling parameters but keep the CFS placement
-  // assigned at allocation — a task spawned late must not start with a
-  // stale-zero fairness clock and starve everything else.
-  const SimTime placed = proc.sched.vruntime;
-  proc.sched = options.sched;
-  proc.sched.vruntime = std::max(options.sched.vruntime, placed);
 }
 
 Pid SimKernel::spawn(const std::string& guest_type, std::vector<std::byte> guest_config,
@@ -696,8 +695,7 @@ void SimKernel::charge_kernel_field_reads(std::uint64_t fields) {
   charge_time(fields * costs_.kernel_field_access_ns, ChargeKind::kCompute);
 }
 
-void SimKernel::kernel_copy_from_user(Process& target, PageNum page,
-                                      std::span<std::byte> out) {
+void SimKernel::enter_user_aspace(const Process& target) {
   // Address-space accounting: kernel code uses the page tables of whatever
   // task it interrupted.  Touching a different user address space requires
   // a switch (TLB invalidation) — unless the executing context *is* the
@@ -705,29 +703,19 @@ void SimKernel::kernel_copy_from_user(Process& target, PageNum page,
   // be live on this CPU.
   const Pid needed = target.pid;
   if (current_ != nullptr && !current_->is_kernel_thread && current_->pid == needed) {
-    // Executing behind the checkpointed process itself: no switch.
-  } else if (cpu_active_aspace_[current_cpu_] != needed) {
+    return;  // executing behind the checkpointed process itself: no switch
+  }
+  if (cpu_active_aspace_[current_cpu_] != needed) {
     cpu_active_aspace_[current_cpu_] = needed;
     ++kstats_.aspace_switches;
     ++kstats_.kernel_access_switches;
     charge_time(costs_.addr_space_switch_ns, ChargeKind::kCompute);
   }
-  auto data = target.aspace->page_data(page);
-  const std::size_t n = std::min(out.size(), data.size());
-  std::memcpy(out.data(), data.data(), n);
-  charge_time(costs_.mem_copy_cost(n), ChargeKind::kCompute);
 }
 
 void SimKernel::kernel_copy_to_user(Process& target, PageNum page,
                                     std::span<const std::byte> in) {
-  const Pid needed = target.pid;
-  if (current_ != nullptr && !current_->is_kernel_thread && current_->pid == needed) {
-  } else if (cpu_active_aspace_[current_cpu_] != needed) {
-    cpu_active_aspace_[current_cpu_] = needed;
-    ++kstats_.aspace_switches;
-    ++kstats_.kernel_access_switches;
-    charge_time(costs_.addr_space_switch_ns, ChargeKind::kCompute);
-  }
+  enter_user_aspace(target);
   PageTableEntry* entry = target.aspace->pte(page);
   if (entry == nullptr || !entry->present) {
     throw std::runtime_error("kernel_copy_to_user: page not mapped");
@@ -745,14 +733,7 @@ void SimKernel::kernel_read_user_range(Process& target, VAddr addr,
   if (page_offset(addr) + out.size() > kPageSize) {
     throw std::invalid_argument("kernel_read_user_range: crosses page boundary");
   }
-  const Pid needed = target.pid;
-  if (current_ != nullptr && !current_->is_kernel_thread && current_->pid == needed) {
-  } else if (cpu_active_aspace_[current_cpu_] != needed) {
-    cpu_active_aspace_[current_cpu_] = needed;
-    ++kstats_.aspace_switches;
-    ++kstats_.kernel_access_switches;
-    charge_time(costs_.addr_space_switch_ns, ChargeKind::kCompute);
-  }
+  enter_user_aspace(target);
   auto data = target.aspace->page_data(page);
   std::memcpy(out.data(), data.data() + page_offset(addr), out.size());
   charge_time(costs_.mem_copy_cost(out.size()), ChargeKind::kCompute);
@@ -764,14 +745,7 @@ void SimKernel::kernel_write_user_range(Process& target, VAddr addr,
   if (page_offset(addr) + in.size() > kPageSize) {
     throw std::invalid_argument("kernel_write_user_range: crosses page boundary");
   }
-  const Pid needed = target.pid;
-  if (current_ != nullptr && !current_->is_kernel_thread && current_->pid == needed) {
-  } else if (cpu_active_aspace_[current_cpu_] != needed) {
-    cpu_active_aspace_[current_cpu_] = needed;
-    ++kstats_.aspace_switches;
-    ++kstats_.kernel_access_switches;
-    charge_time(costs_.addr_space_switch_ns, ChargeKind::kCompute);
-  }
+  enter_user_aspace(target);
   PageTableEntry* entry = target.aspace->pte(page);
   if (entry == nullptr || !entry->present) {
     throw std::runtime_error("kernel_write_user_range: page not mapped");

@@ -75,14 +75,11 @@ class KernelModule {
   std::vector<std::function<void(SimKernel&)>> cleanup_;
 };
 
-/// Options controlling process creation.
+/// Options controlling process creation.  The standard layout's text, data
+/// and stack segments are fixed (4, 8 and 4 pages); the heap is sized here.
 struct SpawnOptions {
-  std::uint64_t code_pages = 4;
-  std::uint64_t data_pages = 8;
   std::uint64_t heap_pages = 16;
-  std::uint64_t stack_pages = 4;
   int thread_count = 1;
-  SchedParams sched{};
 };
 
 struct KernelStats {
@@ -113,7 +110,6 @@ class SimKernel {
 
   /// Scheduling quantum (time-slice) length.
   [[nodiscard]] SimTime quantum() const { return quantum_; }
-  void set_quantum(SimTime q) { quantum_ = q; }
 
   /// Run one scheduling round (up to ncpus tasks step once).  Returns false
   /// if nothing was runnable (clock still advances to the next timer).
@@ -232,11 +228,10 @@ class SimKernel {
   /// Charge the cost of directly reading N fields from a task structure.
   void charge_kernel_field_reads(std::uint64_t fields);
 
-  /// Copy user pages from kernel context, charging memory-copy cost and —
+  /// Copy a user page from kernel context, charging memory-copy cost and —
   /// when the executing context's active address space differs from the
   /// target's — an address-space switch (TLB invalidation).  This is the
   /// mechanism behind the survey's kernel-thread TLB discussion.
-  void kernel_copy_from_user(Process& target, PageNum page, std::span<std::byte> out);
   void kernel_copy_to_user(Process& target, PageNum page, std::span<const std::byte> in);
 
   /// Arbitrary-range variants (block / cache-line granularity payloads).
@@ -298,6 +293,9 @@ class SimKernel {
   /// Minimum fairness clock across live timeshare tasks (0 if none).
   [[nodiscard]] SimTime min_timeshare_vruntime() const;
   void build_standard_layout(Process& proc, const SpawnOptions& options);
+  /// Make `target`'s address space live on the current CPU for a kernel
+  /// access, charging a switch when it was not.
+  void enter_user_aspace(const Process& target);
   Process* pick_next(std::set<Pid>& already_running);
   SimTime step_task(Process& proc, int cpu);
   void fire_timers();

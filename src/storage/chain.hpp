@@ -80,7 +80,6 @@ class CheckpointChain {
   /// from ever disagreeing about what a fallback restart can reach.
   [[nodiscard]] std::vector<ImageId> live_set(const ChargeFn& charge = {}) const;
 
-  [[nodiscard]] std::uint64_t next_sequence() const { return next_sequence_; }
   /// Backend id of the newest appended image (kBadImageId when empty).
   [[nodiscard]] ImageId newest_image_id() const;
   /// Sequence number of the newest appended image (0 when empty).

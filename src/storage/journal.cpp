@@ -14,6 +14,9 @@
 namespace ckpt::storage {
 namespace {
 
+/// Device cost model for append/sync/scan charges.
+constexpr sim::CostModel kDevice{};
+
 /// 'J' 'R' 'N' 'L' read back as a little-endian u32.
 constexpr std::uint32_t kRecordMagic = 0x4C4E524Au;
 /// magic u32 + type u8 + body_len u64 + trailing crc64 u64.
@@ -99,7 +102,7 @@ void LogStructuredBackend::note_counter(const char* name, std::uint64_t delta) c
 }
 
 void LogStructuredBackend::charge_sync(const ChargeFn& charge) {
-  if (charge) charge(options_.costs.disk_latency_ns);
+  if (charge) charge(kDevice.disk_latency_ns);
   note_counter("journal.syncs");
 }
 
@@ -155,7 +158,7 @@ std::optional<LogStructuredBackend::RecordLoc> LogStructuredBackend::write_envel
   slots_[slot].used += env.size();
   if (charge) {
     charge(static_cast<SimTime>(static_cast<double>(env.size()) /
-                                options_.costs.disk_bandwidth_bps * 1e9));
+                                kDevice.disk_bandwidth_bps * 1e9));
   }
   return loc;
 }
@@ -446,7 +449,7 @@ std::optional<CheckpointImage> LogStructuredBackend::load(ImageId id, const Char
   const auto it = entries_.find(id);
   if (it == entries_.end()) return std::nullopt;
   if (it->second.migrated) return home_->load(it->second.home_id, charge);
-  if (charge) charge(options_.costs.disk_cost(it->second.group_bytes));
+  if (charge) charge(kDevice.disk_cost(it->second.group_bytes));
   return decode_resident(it->second);
 }
 
@@ -493,7 +496,7 @@ SimTime LogStructuredBackend::end_group(const ChargeFn& charge) {
   if (group_depth_ > 0 || !group_sync_pending_) return 0;
   group_sync_pending_ = false;
   charge_sync(charge);
-  return options_.costs.disk_latency_ns;
+  return kDevice.disk_latency_ns;
 }
 
 std::uint64_t LogStructuredBackend::resident_images() const {
@@ -596,7 +599,7 @@ LogStructuredBackend::MigrateReport LogStructuredBackend::migrate(const ChargeFn
       report.complete = false;
       continue;
     }
-    if (charge) charge(options_.costs.disk_cost(entry.group_bytes));
+    if (charge) charge(kDevice.disk_cost(entry.group_bytes));
     const ImageId home_id = home_->store(*image, charge);
     if (home_id == kBadImageId) {
       report.complete = false;  // home store refused; retry on the next drain
@@ -680,7 +683,7 @@ JournalRecoveryReport LogStructuredBackend::recover(const ChargeFn& charge) {
   // Forget everything host-side and rebuild from the media bytes alone.
   simulate_crash();
   if (charge) {
-    charge(options_.costs.disk_cost(options_.segment_bytes * options_.segments));
+    charge(kDevice.disk_cost(options_.segment_bytes * options_.segments));
   }
 
   struct SlotScan {

@@ -65,9 +65,8 @@ struct JournalOptions {
   /// migrator inline to reclaim space before failing the store.
   bool migrate_on_demand = true;
   /// Observability sink (null = disabled): journal.* spans and counters.
+  /// Append, sync and scan charges follow the default sim::CostModel disk.
   obs::Observer* observer = nullptr;
-  /// Device cost model for append/sync/scan charges.
-  sim::CostModel costs;
 };
 
 /// Byte image of the log media: fixed-size zero-filled segment slots.  This

@@ -22,9 +22,6 @@ inline constexpr std::uint64_t kKiB = 1024;
 inline constexpr std::uint64_t kMiB = 1024 * kKiB;
 inline constexpr std::uint64_t kGiB = 1024 * kMiB;
 
-/// Convert simulated nanoseconds to fractional seconds (reporting only).
-constexpr double to_seconds(SimTime t) { return static_cast<double>(t) / 1e9; }
-
 /// Convert simulated nanoseconds to fractional milliseconds (reporting only).
 constexpr double to_millis(SimTime t) { return static_cast<double>(t) / 1e6; }
 

@@ -115,9 +115,8 @@ TEST_F(FleetTest, DetectorConfirmsInjectedFailureAndReplacesFromImage) {
   ASSERT_EQ(report.detect_latency.size(), 1u);
   const SimTime window = fleet.options().window;
   EXPECT_GE(report.detect_latency.front(),
-            (fleet.options().confirm_after_missed - 1) * window);
-  EXPECT_LE(report.detect_latency.front(),
-            fleet.options().confirm_after_missed * window);
+            (FailureDetector::kConfirmAfterMissed - 1) * window);
+  EXPECT_LE(report.detect_latency.front(), FailureDetector::kConfirmAfterMissed * window);
   ASSERT_EQ(report.recover_latency.size(), 1u);
   EXPECT_GE(report.recover_latency.front(), report.detect_latency.front());
 }
@@ -127,7 +126,7 @@ TEST_F(FleetTest, FalseSuspicionIsFencedNeverSplitBrained) {
   fleet.run(3);
 
   // Drop enough beats from a perfectly healthy node to force a confirm.
-  fleet.suppress_heartbeats(7, fleet.options().confirm_after_missed + 2);
+  fleet.suppress_heartbeats(7, FailureDetector::kConfirmAfterMissed + 2);
   const FleetReport report = fleet.run(10);
 
   EXPECT_EQ(report.false_confirms, 1u);

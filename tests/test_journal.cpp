@@ -753,8 +753,7 @@ TEST_F(JournalEngineTest, EngineCommitStaysLogResidentUntilMigrate) {
 // --- The crash-point replay harness (the headline deliverable) ---------------
 
 TEST(JournalCrashReplay, RecoversExactlyTheNewestFullyCommittedPrefixEverywhere) {
-  inject::CrashReplayOptions options;  // 32 commits, 220 fuzzed offsets
-  inject::JournalCrashReplay harness(options);
+  inject::JournalCrashReplay harness;  // 32 commits, 220 fuzzed offsets
   const inject::CrashReplayReport report = harness.run();
   SCOPED_TRACE(report.summary());
   EXPECT_TRUE(report.ok());

@@ -363,7 +363,7 @@ TEST(FleetTelemetry, QuantilesOutliersAndRollupAreIngestionOrderInvariant) {
   MetricsRegistry fast, slow, sparse;
   for (int i = 0; i < 8; ++i) fast.observe("commit", 10, bounds);
   for (int i = 0; i < 8; ++i) slow.observe("commit", 1000, bounds);
-  // Below min_samples: two outrageous samples are noise, not a drift signal.
+  // Below FleetTelemetry::kMinSamples: two outrageous samples are noise, not a drift signal.
   sparse.observe("commit", 10000, bounds);
   sparse.observe("commit", 10000, bounds);
 
@@ -382,7 +382,7 @@ TEST(FleetTelemetry, QuantilesOutliersAndRollupAreIngestionOrderInvariant) {
   EXPECT_EQ(q->p99, 10000u);
 
   // Only the slow node flags: its median is 100x the fleet median, while
-  // the sparse node is filtered by min_samples.
+  // the sparse node is filtered by kMinSamples.
   const auto outliers = forward.outliers("commit");
   ASSERT_EQ(outliers.size(), 1u);
   EXPECT_EQ(outliers[0].node, 2);

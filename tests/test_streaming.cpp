@@ -7,7 +7,7 @@
 //     the ordinary restart machinery;
 //   * worker-count identity — blobs, sim-time and results are identical
 //     whether the store's pool has one worker or eight (the chunk loop
-//     runs on the caller, and chunking is fixed by stream_chunk_pages);
+//     runs on the caller, and chunks are a fixed 64 pages);
 //   * pause — the guest-visible pause of a fork-snapshot commit is the
 //     fork's page-table walk, an order of magnitude below stop-the-world;
 //   * no leaks — every exit path (success, mid-stream fault fallback,
@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <initializer_list>
+#include <utility>
 #include <optional>
 #include <vector>
 
@@ -85,29 +86,47 @@ class StreamingTest : public ckpt::test::SimTest {};
 TEST_F(StreamingTest, StreamedBlobIsByteIdenticalToClassicStore) {
   // Two identical deterministic worlds; one commits classically, one
   // streams.  The bytes on every replica must not differ by a single bit.
-  StreamWorld classic(/*streaming=*/false);
-  StreamWorld streamed(/*streaming=*/true);
-  classic.launch_and_run(20);
-  streamed.launch_and_run(20);
+  // A 64 KiB array's heap fits one 64-page stream chunk; a 700 KiB one's
+  // is streamed as two full chunks and a partial third, so the concatenation
+  // of a segment's lead chunk and its followers is checked.
+  constexpr std::uint64_t kChunkPages = 64;
+  for (const auto& [array_bytes, heap_chunks] :
+       {std::pair{64 * 1024ull, 1ull}, std::pair{700 * 1024ull, 3ull}}) {
+    SCOPED_TRACE(array_bytes);
+    StreamWorld classic(/*streaming=*/false);
+    StreamWorld streamed(/*streaming=*/true);
+    classic.launch_and_run(20, array_bytes);
+    streamed.launch_and_run(20, array_bytes);
 
-  const CheckpointResult classic_result =
-      classic.engine->request_checkpoint(classic.kernel, classic.pid);
-  const CheckpointResult streamed_result =
-      streamed.engine->request_checkpoint(streamed.kernel, streamed.pid);
-  ASSERT_TRUE(classic_result.ok) << classic_result.error;
-  ASSERT_TRUE(streamed_result.ok) << streamed_result.error;
-  EXPECT_EQ(classic_result.payload_bytes, streamed_result.payload_bytes);
-  EXPECT_EQ(classic_result.pages, streamed_result.pages);
+    const CheckpointResult classic_result =
+        classic.engine->request_checkpoint(classic.kernel, classic.pid);
+    const CheckpointResult streamed_result =
+        streamed.engine->request_checkpoint(streamed.kernel, streamed.pid);
+    ASSERT_TRUE(classic_result.ok) << classic_result.error;
+    ASSERT_TRUE(streamed_result.ok) << streamed_result.error;
+    EXPECT_EQ(classic_result.payload_bytes, streamed_result.payload_bytes);
+    EXPECT_EQ(classic_result.pages, streamed_result.pages);
 
-  const auto classic_blob = classic.local.read_blob(classic_result.image_id, nullptr);
-  const auto streamed_blob = streamed.local.read_blob(streamed_result.image_id, nullptr);
-  ASSERT_TRUE(classic_blob.has_value());
-  ASSERT_TRUE(streamed_blob.has_value());
-  EXPECT_EQ(*classic_blob, *streamed_blob) << "streamed wire format diverged";
-  const auto classic_remote = classic.remote.read_blob(classic_result.image_id, nullptr);
-  const auto streamed_remote = streamed.remote.read_blob(streamed_result.image_id, nullptr);
-  ASSERT_TRUE(classic_remote.has_value() && streamed_remote.has_value());
-  EXPECT_EQ(*classic_remote, *streamed_remote);
+    const auto classic_blob = classic.local.read_blob(classic_result.image_id, nullptr);
+    const auto streamed_blob = streamed.local.read_blob(streamed_result.image_id, nullptr);
+    ASSERT_TRUE(classic_blob.has_value());
+    ASSERT_TRUE(streamed_blob.has_value());
+    EXPECT_EQ(*classic_blob, *streamed_blob) << "streamed wire format diverged";
+    const auto classic_remote = classic.remote.read_blob(classic_result.image_id, nullptr);
+    const auto streamed_remote = streamed.remote.read_blob(streamed_result.image_id, nullptr);
+    ASSERT_TRUE(classic_remote.has_value() && streamed_remote.has_value());
+    EXPECT_EQ(*classic_remote, *streamed_remote);
+
+    // The heap really has the chunk shape the case is named for.
+    const auto image = streamed.store->load(streamed_result.image_id, nullptr);
+    ASSERT_TRUE(image.has_value());
+    std::uint64_t heap_pages = 0;
+    for (const auto& seg : image->segments) {
+      if (seg.vma.kind == sim::VmaKind::kHeap) heap_pages += seg.pages.size();
+    }
+    EXPECT_EQ((heap_pages + kChunkPages - 1) / kChunkPages, heap_chunks);
+    EXPECT_NE(heap_pages % kChunkPages, 0u) << "the last heap chunk should be partial";
+  }
 }
 
 TEST_F(StreamingTest, StreamedImageRoundTripsThroughRestart) {
@@ -204,29 +223,6 @@ TEST_F(StreamingTest, OneAndEightWorkersCommitIdenticalBytesAndTime) {
   const auto remote_b = pooled.remote.read_blob(b.image_id, nullptr);
   ASSERT_TRUE(remote_a.has_value() && remote_b.has_value());
   EXPECT_EQ(*remote_a, *remote_b);
-}
-
-TEST_F(StreamingTest, ChunkSizeNeverChangesTheBytes) {
-  // stream_chunk_pages is a pipeline knob, not a format knob: any chunking
-  // must concatenate to the same wire bytes.
-  std::optional<std::vector<std::byte>> reference;
-  for (const std::uint32_t chunk_pages : {1u, 3u, 64u, 1024u}) {
-    StreamWorld world(/*streaming=*/true);
-    EngineOptions engine_options = world.engine->options();
-    engine_options.stream_chunk_pages = chunk_pages;
-    world.engine.emplace("stream_chunk", &*world.store, engine_options, world.kernel,
-                         SyscallEngine::TargetMode::kByPid, nullptr);
-    world.launch_and_run(20);
-    const CheckpointResult cr = world.engine->request_checkpoint(world.kernel, world.pid);
-    ASSERT_TRUE(cr.ok) << cr.error;
-    const auto blob = world.local.read_blob(cr.image_id, nullptr);
-    ASSERT_TRUE(blob.has_value());
-    if (!reference.has_value()) {
-      reference = *blob;
-    } else {
-      EXPECT_EQ(*reference, *blob) << "chunk_pages=" << chunk_pages;
-    }
-  }
 }
 
 // --- Pause -----------------------------------------------------------------
@@ -391,11 +387,6 @@ TEST_F(StreamingTest, StreamingRequiresForkAndCopy) {
   engine_options.streaming = true;
   engine_options.consistency = ConsistencyMode::kStopTarget;
   EXPECT_THROW(SyscallEngine("bad", &backend, engine_options, kernel,
-                             SyscallEngine::TargetMode::kByPid, nullptr),
-               std::invalid_argument);
-  engine_options.consistency = ConsistencyMode::kForkAndCopy;
-  engine_options.stream_chunk_pages = 0;
-  EXPECT_THROW(SyscallEngine("bad2", &backend, engine_options, kernel,
                              SyscallEngine::TargetMode::kByPid, nullptr),
                std::invalid_argument);
 }
