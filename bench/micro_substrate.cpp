@@ -26,6 +26,7 @@
 #include "storage/backend.hpp"
 #include "storage/chain.hpp"
 #include "storage/image.hpp"
+#include "storage/replicated.hpp"
 #include "util/crc64.hpp"
 #include "util/rng.hpp"
 #include "util/serialize.hpp"
@@ -176,6 +177,39 @@ void BM_ChainReconstruct(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ChainReconstruct)->Unit(benchmark::kMillisecond);
+
+// The prune after a full commit on a 3-replica flat store (a local disk and
+// two remotes): each iteration appends a 16 MiB full image, untimed, then
+// times the prune, which proves the new image loads (StorageBackend::verify)
+// and drops the one before it.
+void BM_ChainPrune(benchmark::State& state) {
+  constexpr std::uint64_t kPages = (16 << 20) / sim::kPageSize;
+  const sim::CostModel costs{};
+  storage::LocalDiskBackend local{costs};
+  storage::RemoteBackend remote_a{costs};
+  storage::RemoteBackend remote_b{costs};
+  storage::ReplicatedStore store({&local, &remote_a, &remote_b});
+  storage::CheckpointChain chain(&store);
+  util::Rng rng(0xC4A1'2027ULL);
+  storage::CheckpointImage image;
+  image.threads.push_back(storage::ThreadImage{1, {}});
+  storage::MemorySegmentImage seg;
+  seg.vma = sim::Vma{sim::page_of(0x10000), kPages, sim::kProtRW, sim::VmaKind::kData, "data"};
+  for (std::uint64_t i = 0; i < kPages; ++i) {
+    seg.pages.push_back(storage::PageImage{
+        seg.vma.first_page + i, 0,
+        std::vector<std::byte>(sim::kPageSize, static_cast<std::byte>(rng.next_u64()))});
+  }
+  image.segments.push_back(std::move(seg));
+  for (auto _ : state) {
+    state.PauseTiming();
+    chain.append(image, nullptr);
+    state.ResumeTiming();
+    chain.prune();
+    benchmark::DoNotOptimize(chain.length());
+  }
+}
+BENCHMARK(BM_ChainPrune)->Unit(benchmark::kMillisecond);
 
 /// The console reporter (uncoloured), plus the two figures the crc gate
 /// reads.

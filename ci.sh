@@ -36,8 +36,13 @@
 #    EXPERIMENTS.md claims stay checked, not just recorded.
 # 8. perfbench smoke: the repository benchmark (perfbench/, its own CMake
 #    project over src/) must build and run every workload for one second,
-#    exit 0 and report "correct": true with "failed": 0 on its last line, so
-#    a src/ change that breaks it fails here rather than in the benchmark.
+#    plain (--trace 0) and traced (--trace 1), exit 0 and report
+#    "correct": true with "failed": 0 on its last line, so a src/ change
+#    that breaks it fails here rather than in the benchmark.  A traced run
+#    checks that its timed passes leave the ids, bytes and counts of its
+#    plain ones: a prune's verify goes through the timing decorator's load
+#    there and through the store's own verify in the plain passes, so a
+#    drift between the two that changes what a pass leaves fails here.
 #
 # Every BENCH_*.json lands at the repo root and is tracked in git, so a
 # checkout always carries the numbers behind EXPERIMENTS.md and a
@@ -167,16 +172,19 @@ for bench in build/bench/claim_* build/bench/ablation_trackers build/bench/table
 done
 echo "verdict gate: ${VERDICTS} benches, every verdict HOLDS"
 
-# Perfbench smoke: build and briefly run the repository benchmark.
-if ! PERF_OUTPUT="$(python3 perfbench/run.py --workload all --seconds 1 --seed 1 --trace 0)"; then
-  echo "CI gate: perfbench failed to build or run" >&2
-  exit 1
-fi
-if ! tail -n 1 <<<"${PERF_OUTPUT}" | python3 -c '
+# Perfbench smoke: build and briefly run the repository benchmark, plain and
+# traced.
+for TRACE in 0 1; do
+  if ! PERF_OUTPUT="$(python3 perfbench/run.py --workload all --seconds 1 --seed 1 --trace "${TRACE}")"; then
+    echo "CI gate: perfbench --trace ${TRACE} failed to build or run" >&2
+    exit 1
+  fi
+  if ! tail -n 1 <<<"${PERF_OUTPUT}" | python3 -c '
 import json, sys
 result = json.loads(sys.stdin.read())
 sys.exit(0 if result.get("correct") is True and result.get("failed") == 0 else 1)'; then
-  echo "CI gate: perfbench's result line is not correct with zero failed operations" >&2
-  exit 1
-fi
-echo "perfbench smoke: every workload built, ran and reported correct with 0 failed"
+    echo "CI gate: perfbench --trace ${TRACE}'s result line is not correct with zero failed operations" >&2
+    exit 1
+  fi
+done
+echo "perfbench smoke: every workload built, ran plain and traced, and reported correct with 0 failed"

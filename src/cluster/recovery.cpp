@@ -118,9 +118,9 @@ bool RecoveryManager::external_intact_committed(const Job& job) const {
   for (const storage::CheckpointChain::Entry& entry : job.chain->entries()) {
     if (const auto home_id = job.journal->home_id_of(entry.id)) {
       if (job.store->intact_replicas(*home_id) > 0) return true;
-    } else if (job.journal->load(entry.id, storage::ChargeFn{}).has_value()) {
-      // Still log-resident: the CRC-validated decode is the intactness
-      // audit, exactly like a replica read-back.
+    } else if (job.journal->verify(entry.id, storage::ChargeFn{})) {
+      // Still log-resident: the journal's verify is the intactness audit,
+      // exactly like a replica read-back.
       return true;
     }
   }

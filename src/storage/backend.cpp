@@ -96,22 +96,27 @@ ImageId BlobStoreBackend::finish_staged(StageId stage, std::span<const std::byte
   return put_blob(std::move(blob));
 }
 
-std::optional<std::vector<std::byte>> BlobStoreBackend::read_blob(
+std::optional<std::span<const std::byte>> BlobStoreBackend::view_blob(
     ImageId id, const ChargeFn& charge) const {
   if (!reachable()) return std::nullopt;
   auto it = blobs_.find(id);
   if (it == blobs_.end()) return std::nullopt;
   if (charge) charge(io_cost(it->second.size()));
-  return it->second;
+  return std::span<const std::byte>(it->second);
+}
+
+std::optional<std::vector<std::byte>> BlobStoreBackend::read_blob(
+    ImageId id, const ChargeFn& charge) const {
+  const auto blob = view_blob(id, charge);
+  if (!blob.has_value()) return std::nullopt;
+  return std::vector<std::byte>(blob->begin(), blob->end());
 }
 
 std::optional<std::uint64_t> BlobStoreBackend::blob_crc64(ImageId id,
                                                           const ChargeFn& charge) const {
-  if (!reachable()) return std::nullopt;
-  auto it = blobs_.find(id);
-  if (it == blobs_.end()) return std::nullopt;
-  if (charge) charge(io_cost(it->second.size()));
-  return util::crc64(it->second);
+  const auto blob = view_blob(id, charge);
+  if (!blob.has_value()) return std::nullopt;
+  return util::crc64(*blob);
 }
 
 ImageId BlobStoreBackend::store(const CheckpointImage& image, const ChargeFn& charge) {
@@ -143,12 +148,10 @@ ImageId BlobStoreBackend::newest_id() const {
 }
 
 std::optional<CheckpointImage> BlobStoreBackend::load(ImageId id, const ChargeFn& charge) {
-  if (!reachable()) return std::nullopt;
-  auto it = blobs_.find(id);
-  if (it == blobs_.end()) return std::nullopt;
-  if (charge) charge(io_cost(it->second.size()));
+  const auto blob = view_blob(id, charge);
+  if (!blob.has_value()) return std::nullopt;
   try {
-    return CheckpointImage::deserialize(it->second);
+    return CheckpointImage::deserialize(*blob);
   } catch (const ImageCorrupt&) {
     return std::nullopt;
   } catch (const util::SerializeError&) {

@@ -56,6 +56,13 @@ class StorageBackend {
   /// or corrupt.
   virtual std::optional<CheckpointImage> load(ImageId id, const ChargeFn& charge) = 0;
 
+  /// True exactly when load(id, charge) would return an image, charging the
+  /// same reads in the same order.  The default is that load; a backend
+  /// overrides it only to reach the same answer without building the image.
+  virtual bool verify(ImageId id, const ChargeFn& charge) {
+    return load(id, charge).has_value();
+  }
+
   virtual bool erase(ImageId id) = 0;
   [[nodiscard]] virtual std::vector<ImageId> list() const = 0;
   [[nodiscard]] virtual StorageLocality locality() const = 0;
@@ -125,18 +132,22 @@ class BlobStoreBackend : public StorageBackend {
   [[nodiscard]] bool in_outage() const { return outage_; }
 
   // --- Raw blob access (replication / scrub, src/storage/replicated) --------
-  /// The serialized bytes of a stored blob, without deserializing: the
-  /// replication layer verifies and copies images as opaque CRC-checked
-  /// blobs.  nullopt when the id is unknown or the backend is unreachable.
-  /// Charges io_cost through `charge`.
+  /// The stored bytes of a blob, borrowed in place: the replication layer
+  /// verifies, decodes and copies images as opaque CRC-checked blobs without
+  /// a host-side copy.  The span stays valid until this backend's next
+  /// mutation.  nullopt when the id is unknown or the backend is
+  /// unreachable; otherwise charges io_cost of the blob's size through
+  /// `charge` — the simulated media is read in full.
+  [[nodiscard]] std::optional<std::span<const std::byte>> view_blob(
+      ImageId id, const ChargeFn& charge) const;
+
+  /// An owned copy of view_blob's bytes (scrub keeps healthy copies across
+  /// the repairs that mutate the replicas).  Same guards and charge.
   [[nodiscard]] std::optional<std::vector<std::byte>> read_blob(ImageId id,
                                                                 const ChargeFn& charge) const;
 
-  /// CRC64 of a stored blob computed in place — a read-back verify without
-  /// materializing a host-side copy.  Same reachability guards and the same
-  /// io_cost charge as read_blob (the simulated media is still read in
-  /// full); only the host copy is gone.  nullopt when the id is unknown or
-  /// the backend is unreachable.
+  /// CRC64 of view_blob's bytes (a read-back verify).  Same guards and
+  /// charge.
   [[nodiscard]] std::optional<std::uint64_t> blob_crc64(ImageId id,
                                                         const ChargeFn& charge) const;
 

@@ -138,15 +138,15 @@ std::optional<CheckpointImage> CheckpointChain::reconstruct_newest_surviving(
 }
 
 std::size_t CheckpointChain::live_from(const ChargeFn& charge) const {
-  // Keep from the newest *verified-loadable* full image onward.  Keeping
-  // only from the newest full image regardless would delete exactly the
-  // older states reconstruct_newest_surviving() falls back to when that
-  // image turns out torn or corrupt at restart time.  No verifying full
-  // image means everything stays live.
+  // Keep from the newest full image that verifies onward.  Keeping only
+  // from the newest full image regardless would delete exactly the older
+  // states reconstruct_newest_surviving() falls back to when that image
+  // turns out torn or corrupt at restart time.  No verifying full image
+  // means everything stays live.
   for (std::ptrdiff_t i = static_cast<std::ptrdiff_t>(entries_.size()) - 1; i >= 0; --i) {
     const Entry& entry = entries_[static_cast<std::size_t>(i)];
     if (entry.kind != ImageKind::kFull) continue;
-    if (backend_->load(entry.id, charge).has_value()) {
+    if (backend_->verify(entry.id, charge)) {
       return static_cast<std::size_t>(i);
     }
   }

@@ -66,14 +66,15 @@ class CheckpointChain {
   /// "Needed" includes the fallback path: reconstruct_newest_surviving()
   /// may have to reach *past* the newest full image when that image is torn
   /// or corrupt, so pruning only discards entries older than the newest
-  /// full image that provably still loads.  If no full image verifies,
-  /// nothing is pruned — better to hold disk than to strand the restart.
-  /// The verification loads charge through `charge` like any other read.
+  /// full image that StorageBackend::verify proves still loads.  If no full
+  /// image verifies, nothing is pruned — better to hold disk than to strand
+  /// the restart.  Each verify charges through `charge` exactly what a load
+  /// of that image would.
   void prune(const ChargeFn& charge = {});
 
   /// Backend ids of the entries the restart path may still need — the
-  /// "fallback-keep set": everything from the newest verified-loadable full
-  /// image onward, or every entry when no full image verifies.  prune()
+  /// "fallback-keep set": everything from the newest full image that
+  /// verifies onward, or every entry when no full image verifies.  prune()
   /// keeps exactly this set, and chunk GC (ChunkReclaimable::gc) can only
   /// reclaim content no id in this set references, because references are
   /// released strictly per erased image.  Sharing the walk keeps the two

@@ -277,38 +277,74 @@ std::optional<std::uint64_t> CheckpointImage::envelope_crc(std::span<const std::
                              blob.size() - kEnvelopeBytes);
 }
 
-CheckpointImage CheckpointImage::deserialize(std::span<const std::byte> bytes) {
-  Deserializer env(bytes);
-  const auto version = env.get<std::uint32_t>();
-  if (version != kFormatVersion) {
-    throw ImageCorrupt("unsupported image version " + std::to_string(version));
-  }
-  const auto expected_crc = env.get<std::uint64_t>();
-  const auto body_bytes = env.get_raw(env.remaining());
-  if (util::crc64(body_bytes) != expected_crc) {
-    throw ImageCorrupt("checkpoint image CRC mismatch");
-  }
+namespace {
 
-  Deserializer d(body_bytes);
-  CheckpointImage image;
+/// The body of `blob` when its envelope holds (see CheckpointImage::loads),
+/// nullopt otherwise.
+std::optional<std::span<const std::byte>> checked_body(
+    std::span<const std::byte> blob, std::optional<std::uint64_t> certificate) {
+  if (blob.size() < kEnvelopeBytes) return std::nullopt;
+  if (certificate.has_value() && CheckpointImage::envelope_crc(blob) != certificate) {
+    return std::nullopt;
+  }
+  Deserializer env(blob);
+  if (env.get<std::uint32_t>() != CheckpointImage::kFormatVersion) return std::nullopt;
+  const auto body_crc = env.get<std::uint64_t>();
+  const auto body = env.get_raw(env.remaining());
+  if (util::crc64(body) != body_crc) return std::nullopt;
+  return body;
+}
+
+/// Decode a checked body into `image`.  With `keep_pages` false the page
+/// payloads are only stepped over: every count and length prefix is still
+/// checked, and fails, exactly as the full decode checks it.
+void decode_body(std::span<const std::byte> body, CheckpointImage& image, bool keep_pages) {
+  Deserializer d(body);
   const std::uint64_t segment_count = decode_image_prelude(d, image);
-
-  image.segments.reserve(segment_count);
+  if (keep_pages) image.segments.reserve(segment_count);
   for (std::uint64_t i = 0; i < segment_count; ++i) {
     MemorySegmentImage seg;
     seg.vma = decode_vma(d);
-    seg.pages = d.get_vector<PageImage>([](Deserializer& d3) {
+    const std::uint64_t page_count = d.get_count();
+    if (keep_pages) seg.pages.reserve(page_count);
+    for (std::uint64_t p = 0; p < page_count; ++p) {
       PageImage page;
-      page.page = d3.get<sim::PageNum>();
-      page.offset = d3.get<std::uint32_t>();
-      page.data = d3.get_bytes();
-      return page;
-    });
-    image.segments.push_back(std::move(seg));
+      page.page = d.get<sim::PageNum>();
+      page.offset = d.get<std::uint32_t>();
+      const auto data = d.get_raw(d.get<std::uint64_t>());
+      if (!keep_pages) continue;
+      page.data.assign(data.begin(), data.end());
+      seg.pages.push_back(std::move(page));
+    }
+    if (keep_pages) image.segments.push_back(std::move(seg));
   }
-
   decode_image_trailer(d, image);
+}
+
+}  // namespace
+
+CheckpointImage CheckpointImage::deserialize(std::span<const std::byte> bytes,
+                                             std::optional<std::uint64_t> certificate) {
+  const auto body = checked_body(bytes, certificate);
+  if (!body.has_value()) {
+    throw ImageCorrupt("checkpoint image fails its version or CRC check");
+  }
+  CheckpointImage image;
+  decode_body(*body, image, /*keep_pages=*/true);
   return image;
+}
+
+bool CheckpointImage::loads(std::span<const std::byte> blob,
+                            std::optional<std::uint64_t> certificate) {
+  const auto body = checked_body(blob, certificate);
+  if (!body.has_value()) return false;
+  try {
+    CheckpointImage scratch;
+    decode_body(*body, scratch, /*keep_pages=*/false);
+    return true;
+  } catch (const util::SerializeError&) {
+    return false;
+  }
 }
 
 }  // namespace ckpt::storage

@@ -111,7 +111,20 @@ struct CheckpointImage {
   /// Exact size of the serialize() output in bytes (one counting pass, no
   /// encoding) — both serializers reserve this up front.
   [[nodiscard]] std::uint64_t serialized_size() const;
-  static CheckpointImage deserialize(std::span<const std::byte> bytes);
+  /// Decode a serialized image that loads(bytes, certificate); throws
+  /// ImageCorrupt when its envelope fails and util::SerializeError when its
+  /// body does not decode.
+  static CheckpointImage deserialize(std::span<const std::byte> bytes,
+                                     std::optional<std::uint64_t> certificate = std::nullopt);
+  /// The one rule for which stored bytes load.  `blob` loads when its
+  /// version word is kFormatVersion, its body matches the CRC its envelope
+  /// records, its whole-blob crc64 is `certificate` when one is given (a
+  /// manifest's commit-time CRC, checked from the envelope before the body
+  /// pass), and every count and length prefix in its body fits, checked
+  /// exactly as deserialize() checks them.  One in-place CRC pass plus a
+  /// walk over the body's structure: no page payload is copied.
+  static bool loads(std::span<const std::byte> blob,
+                    std::optional<std::uint64_t> certificate = std::nullopt);
   /// crc64 of a serialized image from its 12-byte envelope header alone:
   /// the header's own CRC combined with the body CRC the header records.
   /// Equal to crc64(blob) whenever the body matches that recorded CRC, which

@@ -500,26 +500,18 @@ StoreReceipt ReplicatedStore::store_streamed(const StreamSource& source,
   return publish(receipt, stages, Publish{full_crc, full_bytes, nullptr, chunk_count});
 }
 
-bool ReplicatedStore::copy_matches(std::span<const std::byte> blob,
-                                   std::uint64_t crc) const {
-  // Flat: the envelope check here and deserialize()'s body-CRC pass in
-  // decode_copy together accept exactly the copies whose crc64 is `crc`,
-  // with one pass over the body instead of two.
-  if (table_ == nullptr) return CheckpointImage::envelope_crc(blob) == crc;
-  return util::crc64(blob) == crc;
-}
-
 std::optional<CheckpointImage> ReplicatedStore::decode_copy(
-    std::size_t r, const std::vector<std::byte>& blob, const ChargeFn& charge,
+    std::size_t r, std::span<const std::byte> blob, std::uint64_t crc, const ChargeFn& charge,
     bool chunk_failover) const {
   if (table_ == nullptr) {
     try {
-      return CheckpointImage::deserialize(blob);
+      return CheckpointImage::deserialize(blob, crc);
     } catch (const ImageCorrupt&) {
     } catch (const util::SerializeError&) {
     }
     return std::nullopt;
   }
+  if (util::crc64(blob) != crc) return std::nullopt;
   // Dedup: resolve each chunk from replica r first (locality), then — with
   // failover — from any other copy, so a chunk corrupt on one replica and
   // healthy on another still reconstructs the image.
@@ -546,23 +538,37 @@ std::optional<CheckpointImage> ReplicatedStore::decode_copy(
   return ChunkTable::decode(blob, fetch);
 }
 
-std::optional<CheckpointImage> ReplicatedStore::load(ImageId id, const ChargeFn& charge) {
+template <typename Take>
+bool ReplicatedStore::sweep(ImageId id, const ChargeFn& charge, const Take& take) const {
   const auto it = manifest_.find(id);
-  if (it == manifest_.end()) return std::nullopt;
-  const Entry& entry = it->second;
-
+  if (it == manifest_.end()) return false;
   Retrier retrier(options_.retry, id ^ 0xB10B);
   while (true) {
-    for (const auto& [r, physical] : entry.placements) {
-      const auto blob = replicas_[r]->read_blob(physical, charge);
-      if (!blob.has_value()) continue;                    // unreachable or missing
-      if (!copy_matches(*blob, entry.crc)) continue;      // corrupt copy: fail over
-      if (auto image = decode_copy(r, *blob, charge, /*chunk_failover=*/true)) return image;
+    for (const auto& [r, physical] : it->second.placements) {
+      const auto blob = replicas_[r]->view_blob(physical, charge);
+      if (!blob.has_value()) continue;  // unreachable or missing
+      if (take(r, *blob, it->second.crc)) return true;  // else corrupt: fail over
     }
     const std::optional<SimTime> delay = retrier.next_delay();
-    if (!delay.has_value()) return std::nullopt;
+    if (!delay.has_value()) return false;
     if (charge) charge(*delay);
   }
+}
+
+std::optional<CheckpointImage> ReplicatedStore::load(ImageId id, const ChargeFn& charge) {
+  std::optional<CheckpointImage> image;
+  sweep(id, charge, [&](std::size_t r, std::span<const std::byte> blob, std::uint64_t crc) {
+    image = decode_copy(r, blob, crc, charge, /*chunk_failover=*/true);
+    return image.has_value();
+  });
+  return image;
+}
+
+bool ReplicatedStore::verify(ImageId id, const ChargeFn& charge) {
+  if (table_ != nullptr) return StorageBackend::verify(id, charge);
+  return sweep(id, charge, [](std::size_t, std::span<const std::byte> blob, std::uint64_t crc) {
+    return CheckpointImage::loads(blob, crc);
+  });
 }
 
 std::optional<CheckpointImage> ReplicatedStore::load_from(std::size_t replica, ImageId id,
@@ -571,11 +577,11 @@ std::optional<CheckpointImage> ReplicatedStore::load_from(std::size_t replica, I
   if (it == manifest_.end() || replica >= replicas_.size()) return std::nullopt;
   const auto placement = it->second.placements.find(replica);
   if (placement == it->second.placements.end()) return std::nullopt;
-  const auto blob = replicas_[replica]->read_blob(placement->second, charge);
-  if (!blob.has_value() || !copy_matches(*blob, it->second.crc)) return std::nullopt;
+  const auto blob = replicas_[replica]->view_blob(placement->second, charge);
+  if (!blob.has_value()) return std::nullopt;
   // Strictly this replica — no chunk failover.  The degradation ladder uses
   // load_from to probe what *one* replica can restore by itself.
-  return decode_copy(replica, *blob, charge, /*chunk_failover=*/false);
+  return decode_copy(replica, *blob, it->second.crc, charge, /*chunk_failover=*/false);
 }
 
 bool ReplicatedStore::erase(ImageId id) {

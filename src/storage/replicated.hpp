@@ -159,6 +159,10 @@ class ReplicatedStore final : public StorageBackend, public ChunkReclaimable {
   /// unreachable replica silently fails over to the next.  The whole sweep
   /// retries under the RetryPolicy (transient outages).
   std::optional<CheckpointImage> load(ImageId id, const ChargeFn& charge) override;
+  /// Flat mode: load's sweep, retries and charges, but each copy is checked
+  /// in place by CheckpointImage::loads against the manifest CRC instead of
+  /// being decoded.  Dedup mode keeps the default (a full load).
+  bool verify(ImageId id, const ChargeFn& charge) override;
   /// Drop the committed entry and its replica blobs (charge-free, like any
   /// backend erase).  Dedup mode releases the entry's chunk references;
   /// shared chunk blobs stay on media until gc().
@@ -299,14 +303,19 @@ class ReplicatedStore final : public StorageBackend, public ChunkReclaimable {
   /// Render one replica-stage span from its replayed ledger.
   void emit_stage(std::size_t r, SimTime base, const ReplicaStage& stage);
 
-  /// First check of a replica copy against its entry's CRC; a flat copy
-  /// that passes is fully verified only once decode_copy deserializes it.
-  [[nodiscard]] bool copy_matches(std::span<const std::byte> blob, std::uint64_t crc) const;
-  /// Decode one replica's CRC-verified copy of a committed entry.  Dedup
-  /// chunks come from replica `r` first and, with `chunk_failover`, from
-  /// any other replica holding a verified copy.
-  std::optional<CheckpointImage> decode_copy(std::size_t r, const std::vector<std::byte>& blob,
-                                             const ChargeFn& charge, bool chunk_failover) const;
+  /// Load's read sweep over the committed entry `id`: each placed copy, in
+  /// replica order, is viewed (and charged) and handed to `take` until
+  /// `take` accepts one; a sweep that finds none is retried under the load
+  /// RetryPolicy.  False when `id` is unknown or the retries run out.
+  template <typename Take>
+  bool sweep(ImageId id, const ChargeFn& charge, const Take& take) const;
+  /// Decode replica `r`'s copy of an entry whose manifest CRC is `crc`, or
+  /// nullopt when the copy fails that CRC or does not decode.  Dedup chunks
+  /// come from replica `r` first and, with `chunk_failover`, from any other
+  /// replica holding a verified copy.
+  std::optional<CheckpointImage> decode_copy(std::size_t r, std::span<const std::byte> blob,
+                                             std::uint64_t crc, const ChargeFn& charge,
+                                             bool chunk_failover) const;
 
   /// What a commit publishes once its replicas are staged.
   struct Publish {

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
@@ -335,6 +337,120 @@ TEST(ChainFold, RestartChargesArePinned) {
     EXPECT_EQ(got[i].total, want[i].total) << "sequence " << i + 1;
     EXPECT_EQ(got[i].calls, want[i].calls) << "sequence " << i + 1;
   }
+}
+
+/// Forwards every call to a store, overriding load but not verify — the
+/// shape of a timing decorator — so a prune through it verifies by loading.
+class LoadingDecorator final : public StorageBackend {
+ public:
+  explicit LoadingDecorator(StorageBackend& inner) : inner_(inner) {}
+  ImageId store(const CheckpointImage& image, const ChargeFn& charge) override {
+    return inner_.store(image, charge);
+  }
+  std::optional<CheckpointImage> load(ImageId id, const ChargeFn& charge) override {
+    ++loads;
+    return inner_.load(id, charge);
+  }
+  bool erase(ImageId id) override { return inner_.erase(id); }
+  [[nodiscard]] std::vector<ImageId> list() const override { return inner_.list(); }
+  [[nodiscard]] StorageLocality locality() const override { return inner_.locality(); }
+  [[nodiscard]] bool reachable() const override { return inner_.reachable(); }
+  [[nodiscard]] std::uint64_t stored_bytes() const override { return inner_.stored_bytes(); }
+
+  std::uint64_t loads = 0;
+
+ private:
+  StorageBackend& inner_;
+};
+
+/// What one prune left behind and charged.
+struct PruneOutcome {
+  std::vector<std::uint64_t> sequences;
+  std::vector<ImageId> ids;
+  std::vector<SimTime> charges;
+
+  bool operator==(const PruneOutcome&) const = default;
+};
+
+/// A seeded commit-and-prune script on a 3-replica flat store, with the
+/// chain writing either to the store itself or through a LoadingDecorator.
+/// Between prunes the newest full image is corrupted on one replica, then
+/// on all three, then stored while two replicas are down and checked while
+/// the third is down too, so the prunes verify through failover, fall back
+/// to older full images, and run the retry schedule.
+std::vector<PruneOutcome> run_prune_script(bool decorated, std::uint64_t* decorator_loads) {
+  sim::CostModel costs{};
+  std::array<LocalDiskBackend, 3> replicas{LocalDiskBackend{costs}, LocalDiskBackend{costs},
+                                           LocalDiskBackend{costs}};
+  ReplicatedOptions options;
+  options.retry = RetryPolicy::bounded(2, /*deadline=*/0);
+  ReplicatedStore store({&replicas[0], &replicas[1], &replicas[2]}, options);
+  LoadingDecorator decorator(store);
+  CheckpointChain chain(decorated ? static_cast<StorageBackend*>(&decorator) : &store);
+
+  util::Rng rng(0x9A0E'2026ULL);
+  std::uint64_t tag = 0;
+  std::vector<PruneOutcome> out;
+  const auto append = [&](ImageKind kind) {
+    ASSERT_NE(chain.append(random_image(rng, kind, ++tag), nullptr), kBadImageId);
+  };
+  const auto corrupt_newest = [&](std::initializer_list<std::size_t> targets) {
+    for (const std::size_t r : targets) {
+      ASSERT_TRUE(replicas[r].corrupt_blob(replicas[r].newest_id(), 40, 2));
+    }
+  };
+  const auto prune = [&] {
+    PruneOutcome outcome;
+    chain.prune([&](SimTime t) { outcome.charges.push_back(t); });
+    for (const auto& entry : chain.entries()) outcome.sequences.push_back(entry.sequence);
+    outcome.ids = store.list();
+    out.push_back(std::move(outcome));
+  };
+
+  append(ImageKind::kFull);
+  append(ImageKind::kIncremental);
+  append(ImageKind::kIncremental);
+  prune();  // the only full image verifies: nothing to drop
+  append(ImageKind::kFull);
+  corrupt_newest({0});
+  prune();  // verifies on replica 1: drops the first chain
+  append(ImageKind::kIncremental);
+  append(ImageKind::kFull);
+  corrupt_newest({0, 1, 2});
+  prune();  // newest full fails everywhere, after retries: falls back
+  replicas[0].set_outage(true);
+  replicas[1].set_outage(true);
+  append(ImageKind::kFull);  // committed on replica 2 alone
+  replicas[2].set_outage(true);
+  prune();  // nothing reachable: falls back again
+  for (auto& replica : replicas) replica.set_outage(false);
+  append(ImageKind::kIncremental);
+  prune();  // the newest full verifies: drops everything older
+  *decorator_loads = decorator.loads;
+  return out;
+}
+
+TEST(ChainPrune, VerifyThroughALoadOnlyDecoratorMatchesTheBareStore) {
+  std::uint64_t bare_loads = 0;
+  std::uint64_t decorated_loads = 0;
+  const std::vector<PruneOutcome> bare = run_prune_script(false, &bare_loads);
+  const std::vector<PruneOutcome> decorated = run_prune_script(true, &decorated_loads);
+  ASSERT_EQ(bare.size(), 5u);
+  ASSERT_EQ(decorated.size(), bare.size());
+  EXPECT_EQ(bare_loads, 0u);
+  EXPECT_GT(decorated_loads, 0u);  // the decorator's prunes verified by loading
+  for (std::size_t i = 0; i < bare.size(); ++i) {
+    EXPECT_EQ(decorated[i].sequences, bare[i].sequences) << "prune " << i;
+    EXPECT_EQ(decorated[i].ids, bare[i].ids) << "prune " << i;
+    EXPECT_EQ(decorated[i].charges, bare[i].charges) << "prune " << i;
+  }
+  // The script reaches every branch: a keep-all prune, a drop after
+  // failover, two fallbacks and a final drop to the newest full image.
+  EXPECT_EQ(bare[0].sequences, (std::vector<std::uint64_t>{1, 2, 3}));
+  EXPECT_EQ(bare[1].sequences, (std::vector<std::uint64_t>{4}));
+  EXPECT_EQ(bare[2].sequences, (std::vector<std::uint64_t>{4, 5, 6}));
+  EXPECT_EQ(bare[3].sequences, (std::vector<std::uint64_t>{4, 5, 6, 7}));
+  EXPECT_EQ(bare[4].sequences, (std::vector<std::uint64_t>{7, 8}));
 }
 
 }  // namespace

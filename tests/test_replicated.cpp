@@ -4,6 +4,7 @@
 
 #include <array>
 #include <cstdio>
+#include <functional>
 #include <mutex>
 #include <set>
 #include <string>
@@ -268,8 +269,9 @@ TEST_F(ReplicatedTest, NewestCommittedTracksManifestOrder) {
 TEST_F(ReplicatedTest, FlatCommitWithPruneHashesEachByteAtMostFiveTimes) {
   // One flat commit of an S-byte image, then the prune that follows a full
   // image, may hash 5·S bytes: serialize's body pass, three read-back
-  // verifies and the prune's verifying load.  The entry CRC and the load's
-  // copy check come from the envelope, not from more passes over the blob.
+  // verifies and the prune's verify.  The entry CRC and the verify's
+  // certificate check come from the envelope, not from more passes over the
+  // blob.
   RemoteBackend third{costs_};
   ReplicatedStore store({&local_, &remote_, &third});
   CheckpointChain chain(&store);
@@ -411,6 +413,147 @@ CheckpointImage make_wide_image(std::uint64_t tag, std::size_t segments) {
     image.segments.push_back(std::move(seg));
   }
   return image;
+}
+
+// --- verify() accepts exactly what load() accepts -----------------------------
+
+/// A flat replica whose copies a test can tear after the commit.  io_cost
+/// differs per replica, so a recorded charge sequence also names which
+/// replicas were read.
+class TearableBackend final : public BlobStoreBackend {
+ public:
+  explicit TearableBackend(SimTime per_byte) : per_byte_(per_byte) {}
+  [[nodiscard]] StorageLocality locality() const override { return StorageLocality::kRemote; }
+  /// Keep only the first `bytes` of a stored blob (a write torn after the
+  /// commit's read-back verify).
+  void truncate(ImageId id, std::size_t bytes) { blobs_.at(id).resize(bytes); }
+
+ protected:
+  [[nodiscard]] SimTime io_cost(std::uint64_t bytes) const override {
+    return 1000 + per_byte_ * static_cast<SimTime>(bytes);
+  }
+
+ private:
+  SimTime per_byte_;
+};
+
+constexpr std::size_t kEnvelopeBytes = sizeof(std::uint32_t) + sizeof(std::uint64_t);
+
+/// Flip one body byte of a stored copy and rewrite its envelope's body CRC
+/// to match: the envelope checks itself, only the manifest CRC catches it.
+void reseal_flipped_body(TearableBackend& replica, ImageId physical) {
+  const auto body_crc = [&] {
+    const auto blob = replica.read_blob(physical, nullptr).value();
+    return util::crc64(std::span<const std::byte>(blob).subspan(kEnvelopeBytes));
+  };
+  const std::uint64_t before = body_crc();
+  const std::size_t size = replica.read_blob(physical, nullptr)->size();
+  ASSERT_TRUE(replica.corrupt_blob(physical, size / 2, 1));
+  const std::uint64_t diff = before ^ body_crc();
+  for (std::size_t i = 0; i < sizeof(diff); ++i) {
+    const auto mask = static_cast<std::byte>((diff >> (8 * i)) & 0xFF);
+    if (mask != std::byte{0}) replica.corrupt_blob(physical, sizeof(std::uint32_t) + i, 1, mask);
+  }
+}
+
+TEST(ReplicatedVerify, MatchesLoadAndItsChargesUnderEveryFault) {
+  struct World {
+    std::array<TearableBackend, 3> replicas{TearableBackend{1}, TearableBackend{2},
+                                            TearableBackend{3}};
+    ReplicatedStore store;
+    World()
+        : store({&replicas[0], &replicas[1], &replicas[2]}, [] {
+            ReplicatedOptions options;
+            options.retry = retrying(2);
+            return options;
+          }()) {}
+  };
+  /// Damage `world`'s committed image (whose copy on replica r is
+  /// `physical[r]`) and return the logical id to check.
+  using Fault = std::function<ImageId(World&, ImageId, const std::array<ImageId, 3>&)>;
+  const auto on = [](std::vector<std::size_t> targets, auto damage) {
+    return [targets, damage](World& w, ImageId id, const std::array<ImageId, 3>& physical) {
+      for (const std::size_t r : targets) damage(w.replicas[r], physical[r]);
+      return id;
+    };
+  };
+  const std::vector<std::size_t> first{0};
+  const std::vector<std::size_t> all{0, 1, 2};
+  const auto flip_body = [](TearableBackend& b, ImageId p) {
+    ASSERT_TRUE(b.corrupt_blob(p, b.read_blob(p, nullptr)->size() / 2, 1));
+  };
+  const auto flip_body_crc = [](TearableBackend& b, ImageId p) {
+    ASSERT_TRUE(b.corrupt_blob(p, sizeof(std::uint32_t) + 3, 1));
+  };
+  const auto flip_version = [](TearableBackend& b, ImageId p) {
+    ASSERT_TRUE(b.corrupt_blob(p, 0, 1, std::byte{0x02}));
+  };
+  const auto tear = [](TearableBackend& b, ImageId p) {
+    b.truncate(p, b.read_blob(p, nullptr)->size() * 2 / 3);
+  };
+  const auto outage = [](TearableBackend& b, ImageId) { b.set_outage(true); };
+
+  struct Case {
+    const char* name;
+    Fault fault;
+    bool loads;
+  };
+  const std::vector<Case> cases = {
+      {"intact", on({}, flip_body), true},
+      {"body byte on replica 0", on(first, flip_body), true},
+      {"body byte on every replica", on(all, flip_body), false},
+      {"body-CRC field on replica 0", on(first, flip_body_crc), true},
+      {"body-CRC field on every replica", on(all, flip_body_crc), false},
+      {"resealed body on replica 0", on(first, reseal_flipped_body), true},
+      {"resealed body on every replica", on(all, reseal_flipped_body), false},
+      {"version word on replica 0", on(first, flip_version), true},
+      {"version word on every replica", on(all, flip_version), false},
+      {"torn copy on replica 0", on(first, tear), true},
+      {"torn copy on every replica", on(all, tear), false},
+      {"outage on replica 0", on(first, outage), true},
+      {"outage on every replica", on(all, outage), false},
+      {"erased id",
+       [](World& w, ImageId id, const std::array<ImageId, 3>&) {
+         EXPECT_TRUE(w.store.erase(id));
+         return id;
+       },
+       false},
+      {"unknown id", [](World&, ImageId id, const std::array<ImageId, 3>&) { return id + 100; },
+       false},
+      {"undecodable body under a valid certificate",
+       [](World& w, ImageId, const std::array<ImageId, 3>&) {
+         // Half a body, sealed by a streamed commit: every CRC holds, and
+         // only the walk over the body's structure refuses it.
+         const std::vector<std::byte> blob = make_wide_image(9, 2).serialize();
+         ReplicatedStore::StreamSource source;
+         source.prelude.assign(blob.begin() + kEnvelopeBytes,
+                               blob.begin() + kEnvelopeBytes + (blob.size() - kEnvelopeBytes) / 2);
+         return w.store.store_streamed(source, nullptr).id;
+       },
+       false},
+  };
+
+  for (const Case& c : cases) {
+    World world;
+    const ImageId id = world.store.store(make_wide_image(3, 2), nullptr);
+    ASSERT_NE(id, kBadImageId) << c.name;
+    std::array<ImageId, 3> physical{};
+    for (std::size_t r = 0; r < physical.size(); ++r) {
+      physical[r] = world.replicas[r].newest_id();
+    }
+    const ImageId target = c.fault(world, id, physical);
+    ASSERT_NE(target, kBadImageId) << c.name;
+
+    std::vector<SimTime> verify_charges;
+    std::vector<SimTime> load_charges;
+    const bool verified =
+        world.store.verify(target, [&](SimTime t) { verify_charges.push_back(t); });
+    const bool loaded =
+        world.store.load(target, [&](SimTime t) { load_charges.push_back(t); }).has_value();
+    EXPECT_EQ(verified, loaded) << c.name;
+    EXPECT_EQ(loaded, c.loads) << c.name;
+    EXPECT_EQ(verify_charges, load_charges) << c.name;
+  }
 }
 
 TEST(PipelineDeterminism, ShardedSerializeIsBitIdenticalForAnyWorkerCount) {

@@ -46,7 +46,11 @@ CheckpointImage make_image(std::uint64_t tag, ImageKind kind = ImageKind::kFull)
 TEST(Image, SerializeRoundTrip) {
   const CheckpointImage original = make_image(7);
   const auto bytes = original.serialize();
-  const CheckpointImage copy = CheckpointImage::deserialize(bytes);
+  EXPECT_TRUE(CheckpointImage::loads(bytes));
+  EXPECT_TRUE(CheckpointImage::loads(bytes, util::crc64(bytes)));
+  EXPECT_FALSE(CheckpointImage::loads(bytes, util::crc64(bytes) ^ 1));
+  EXPECT_THROW(CheckpointImage::deserialize(bytes, util::crc64(bytes) ^ 1), ImageCorrupt);
+  const CheckpointImage copy = CheckpointImage::deserialize(bytes, util::crc64(bytes));
   EXPECT_EQ(copy.pid, original.pid);
   EXPECT_EQ(copy.process_name, original.process_name);
   EXPECT_EQ(copy.guest.type_name, "counter");
@@ -66,12 +70,14 @@ TEST(Image, CorruptionDetected) {
   auto bytes = make_image(1).serialize();
   bytes[bytes.size() / 2] ^= std::byte{0xFF};
   EXPECT_THROW(CheckpointImage::deserialize(bytes), ImageCorrupt);
+  EXPECT_FALSE(CheckpointImage::loads(bytes));
 }
 
 TEST(Image, TruncationDetected) {
   auto bytes = make_image(1).serialize();
   bytes.resize(bytes.size() / 2);
   EXPECT_THROW(CheckpointImage::deserialize(bytes), ImageCorrupt);
+  EXPECT_FALSE(CheckpointImage::loads(bytes));
 }
 
 // --- Hostile length prefixes --------------------------------------------------
@@ -151,6 +157,8 @@ TEST(HostileBlob, SegmentCountBeyondTheBodyIsRejected) {
   const ImageId committed = commit_raw_body(store, blob);
   ASSERT_NE(committed, kBadImageId);
   EXPECT_FALSE(store.load(committed, nullptr).has_value());
+  EXPECT_FALSE(store.verify(committed, nullptr));  // the walk refuses what the decode does
+  EXPECT_FALSE(CheckpointImage::loads(blob));
   EXPECT_FALSE(store.load_from(0, committed, nullptr).has_value());
 }
 
@@ -169,6 +177,8 @@ TEST(HostileBlob, WrappingStringLengthIsRejected) {
   const ImageId committed = commit_raw_body(store, blob);
   ASSERT_NE(committed, kBadImageId);
   EXPECT_FALSE(store.load(committed, nullptr).has_value());
+  EXPECT_FALSE(store.verify(committed, nullptr));  // the walk refuses what the decode does
+  EXPECT_FALSE(CheckpointImage::loads(blob));
 }
 
 TEST(Image, PayloadAccounting) {
